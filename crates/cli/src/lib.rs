@@ -116,7 +116,7 @@ COMMANDS:          (<bench> is a .bench file path, or suite:NAME for an embedded
     suite     [NAME...] [--audit] [--degrade] [--work-limit W]
               run the paper's Table-2 stand-in suite
     bench     [NAME...] [--quick] [--threads T] [--out FILE] [--check FILE]
-              benchmark the screened/cone-bounded engines against the legacy path
+              benchmark the screened campaign against a committed baseline
     help                             show this message
 ";
 

@@ -12,7 +12,15 @@ fn s27_path() -> String {
     let dir = std::env::temp_dir().join("moa-bin-test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("s27.bench");
-    std::fs::write(&path, moa_circuits::iscas::S27_BENCH).unwrap();
+    // Every test shares this file while others may be reading it: publish
+    // it by atomic rename so no reader ever sees a half-written netlist.
+    let tmp = dir.join(format!(
+        "s27.bench.{}-{:?}.tmp",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    std::fs::write(&tmp, moa_circuits::iscas::S27_BENCH).unwrap();
+    std::fs::rename(&tmp, &path).unwrap();
     path.to_string_lossy().into_owned()
 }
 
@@ -97,35 +105,73 @@ fn campaign_chaos_seed_runs_and_reports_fired_sites() {
     assert!(text.contains("chaos:"), "{text}");
 }
 
+/// Arguments of a checkpointed s27 campaign, optionally resuming.
+fn checkpointed_campaign(ckpt: &str, resume: bool) -> Vec<String> {
+    let mut v = vec![
+        "campaign".to_owned(),
+        s27_path(),
+        "--random".to_owned(),
+        "16".to_owned(),
+        "--seed".to_owned(),
+        "7".to_owned(),
+        "--proposed".to_owned(),
+        "--checkpoint".to_owned(),
+        ckpt.to_owned(),
+    ];
+    if resume {
+        v.push("--resume".to_owned());
+    }
+    v
+}
+
+/// The report minus timings and warnings (both parenthesised).
+fn report_lines(bytes: &[u8]) -> String {
+    String::from_utf8_lossy(bytes)
+        .lines()
+        .filter(|l| !l.contains('('))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
 #[test]
 fn campaign_resume_heals_a_corrupt_interior_record_with_a_warning() {
-    // A torn/garbage body record no longer aborts the resume: the record is
+    // A damaged body record no longer aborts the resume: the record is
     // skipped with a located warning and its fault is re-simulated.
-    let dir = std::env::temp_dir().join("moa-bin-test");
+    let dir = std::env::temp_dir().join("moa-bin-test-corrupt");
     std::fs::create_dir_all(&dir).unwrap();
-    let corrupt = dir.join("corrupt.checkpoint");
-    std::fs::write(&corrupt, "moa-checkpoint v1\ncircuit s27\nfaults 32\nseq-len 8\nfault garbage\n")
-        .unwrap();
-    let out = moa()
-        .args([
-            "campaign",
-            &s27_path(),
-            "--random",
-            "8",
-            "--seed",
-            "7",
-            "--proposed",
-            "--checkpoint",
-            &corrupt.to_string_lossy(),
-            "--resume",
-        ])
-        .output()
-        .unwrap();
-    let text = String::from_utf8_lossy(&out.stdout);
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(0), "corruption is healed, not fatal: {err}");
-    assert!(text.contains("skipped corrupt checkpoint record"), "{text}");
-    assert!(text.contains("line 5"), "the warning locates the damage: {text}");
+    let ckpt = dir.join("corrupt.checkpoint");
+    let _ = std::fs::remove_file(&ckpt);
+    let ckpt = ckpt.to_string_lossy().into_owned();
+
+    let full = moa().args(checkpointed_campaign(&ckpt, false)).output().unwrap();
+    assert!(full.status.success());
+
+    // Flip one bit inside the first record's payload, so intact records
+    // follow the damage. The body starts after the 12-byte magic and the
+    // length-prefixed, checksummed header; the record's tag and length
+    // word come first.
+    let mut bytes = std::fs::read(&ckpt).unwrap();
+    let header_len = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+    let first_record = 12 + 4 + header_len + 4;
+    bytes[first_record + 5 + 8] ^= 0x08;
+    std::fs::write(&ckpt, &bytes).unwrap();
+
+    let resumed = moa().args(checkpointed_campaign(&ckpt, true)).output().unwrap();
+    let text = String::from_utf8_lossy(&resumed.stdout);
+    let err = String::from_utf8_lossy(&resumed.stderr);
+    assert_eq!(resumed.status.code(), Some(0), "corruption is healed, not fatal: {err}");
+    assert_eq!(
+        text.matches("skipped corrupt checkpoint record").count(),
+        1,
+        "only the damaged record is skipped: {text}"
+    );
+    let located = format!("record 1 at byte {first_record}: checksum mismatch");
+    assert!(text.contains(&located), "the warning locates the damage: {text}");
+    assert_eq!(
+        report_lines(&full.stdout),
+        report_lines(&resumed.stdout),
+        "the re-simulated fault must reproduce the full run's report"
+    );
 }
 
 #[test]
@@ -164,94 +210,73 @@ fn campaign_checkpoint_resume_round_trip_via_binary() {
     let ckpt = dir.join("roundtrip.checkpoint");
     let _ = std::fs::remove_file(&ckpt);
     let ckpt = ckpt.to_string_lossy().into_owned();
-    let args = |resume: bool| {
-        let mut v = vec![
-            "campaign".to_owned(),
-            s27_path(),
-            "--random".to_owned(),
-            "16".to_owned(),
-            "--seed".to_owned(),
-            "7".to_owned(),
-            "--proposed".to_owned(),
-            "--checkpoint".to_owned(),
-            ckpt.clone(),
-        ];
-        if resume {
-            v.push("--resume".to_owned());
-        }
-        v
-    };
-    let first = moa().args(args(false)).output().unwrap();
+    let first = moa().args(checkpointed_campaign(&ckpt, false)).output().unwrap();
     assert!(first.status.success());
-    let second = moa().args(args(true)).output().unwrap();
+    let second = moa().args(checkpointed_campaign(&ckpt, true)).output().unwrap();
     assert!(second.status.success());
-    let strip = |bytes: &[u8]| {
-        String::from_utf8_lossy(bytes)
-            .lines()
-            .filter(|l| !l.contains('('))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    assert_eq!(strip(&first.stdout), strip(&second.stdout));
+    assert_eq!(report_lines(&first.stdout), report_lines(&second.stdout));
 }
 
 #[test]
 fn campaign_resume_tolerates_torn_final_checkpoint_line() {
     // A checkpoint cut off mid-record (kill -9 during a non-atomic copy, a
     // filesystem without rename atomicity) must not brick the resume: the
-    // partial final line is dropped and its fault re-simulated.
+    // partial final record is dropped with a located warning and its fault
+    // re-simulated.
     let dir = std::env::temp_dir().join("moa-bin-test-torn");
     std::fs::create_dir_all(&dir).unwrap();
     let ckpt = dir.join("torn.checkpoint");
     let _ = std::fs::remove_file(&ckpt);
-    let ckpt_str = ckpt.to_string_lossy().into_owned();
-    let args = |resume: bool| {
-        let mut v = vec![
-            "campaign".to_owned(),
-            s27_path(),
-            "--random".to_owned(),
-            "16".to_owned(),
-            "--seed".to_owned(),
-            "7".to_owned(),
-            "--proposed".to_owned(),
-            "--checkpoint".to_owned(),
-            ckpt_str.clone(),
-        ];
-        if resume {
-            v.push("--resume".to_owned());
-        }
-        v
-    };
+    let ckpt = ckpt.to_string_lossy().into_owned();
 
-    let full = moa().args(args(false)).output().unwrap();
+    let full = moa().args(checkpointed_campaign(&ckpt, false)).output().unwrap();
     assert!(full.status.success());
 
-    // Emulate the torn write: truncate the finished checkpoint mid-way
-    // through its final fault line, leaving no trailing newline.
-    let text = std::fs::read_to_string(&ckpt).unwrap();
-    assert!(text.ends_with('\n'));
-    let cut = text.trim_end_matches('\n');
-    assert!(cut.lines().last().unwrap().starts_with("fault "));
-    std::fs::write(&ckpt, &cut[..cut.len() - 4]).unwrap();
+    // Emulate the torn write: drop the 13-byte trailer and the last 6
+    // bytes of the final record.
+    let bytes = std::fs::read(&ckpt).unwrap();
+    let cut = bytes.len() - 13 - 6;
+    std::fs::write(&ckpt, &bytes[..cut]).unwrap();
 
-    let resumed = moa().args(args(true)).output().unwrap();
+    let resumed = moa().args(checkpointed_campaign(&ckpt, true)).output().unwrap();
     assert!(
         resumed.status.success(),
-        "resume must survive a torn final line: {}",
+        "resume must survive a torn final record: {}",
         String::from_utf8_lossy(&resumed.stderr)
     );
-    let strip = |bytes: &[u8]| {
-        String::from_utf8_lossy(bytes)
-            .lines()
-            .filter(|l| !l.contains('('))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
+    let text = String::from_utf8_lossy(&resumed.stdout);
+    assert!(text.contains("missing end-of-shard trailer"), "{text}");
+    assert!(text.contains("byte "), "the warning locates the cut: {text}");
     assert_eq!(
-        strip(&full.stdout),
-        strip(&resumed.stdout),
+        report_lines(&full.stdout),
+        report_lines(&resumed.stdout),
         "the re-simulated fault must reproduce the full run's report"
     );
+}
+
+#[test]
+fn campaign_resume_from_v1_text_checkpoint_exits_one() {
+    // Text checkpoints (format v1) are no longer read: resuming from one is
+    // a located checkpoint error, never a panic or a silent restart.
+    let dir = std::env::temp_dir().join("moa-bin-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let v1 = dir.join("v1.checkpoint");
+    std::fs::write(
+        &v1,
+        "moa-checkpoint v1\ncircuit s27\nfaults 32\nseq-len 16\nfault 0 0 0 0 0 skip-c\n",
+    )
+    .unwrap();
+    let out = moa()
+        .args(checkpointed_campaign(&v1.to_string_lossy(), true))
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "clean failure, not a panic");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("checkpoint"), "{err}");
+    assert!(err.contains("v1.checkpoint"), "the error names the file: {err}");
+    assert!(err.contains("moa-ckpt-v2"), "the error names the expected format: {err}");
+    assert!(err.contains("byte 0"), "the error is located: {err}");
+    assert!(!err.contains("panicked"), "{err}");
 }
 
 #[test]

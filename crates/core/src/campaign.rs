@@ -23,8 +23,8 @@ use crate::audit::{audit_certificate, AuditOptions, AuditStatus};
 use crate::budget::{BudgetMeter, FaultBudget, LadderStats};
 use crate::certificate::DetectionCertificate;
 use crate::checkpoint::{
-    read_checkpoint, read_checkpoint_sharded, write_checkpoint, write_checkpoint_v2,
-    CheckpointHeader, CheckpointSkip, ShardInfo,
+    read_checkpoint, read_checkpoint_sharded, write_checkpoint_v2, CheckpointHeader,
+    CheckpointSkip, ShardInfo,
 };
 use crate::cones::{ConeCache, StateOverlap};
 use crate::counters::{CounterAverages, Counters, PerfCounters};
@@ -254,10 +254,10 @@ pub struct CampaignOptions {
     /// checkpointed status and are not re-audited.
     pub audit: Option<CampaignAudit>,
     /// This campaign's place in a sharded partition ([`crate::shard`]).
-    /// When set, the fault list is one shard's slice: checkpoints are
-    /// written in format v2 with global fault indices, and a resume uses
-    /// the shard-aware reader. `None` (the default) is an ordinary
-    /// unsharded campaign writing v1 checkpoints.
+    /// When set, the fault list is one shard's slice: checkpoints carry the
+    /// shard's place in the partition and global fault indices, and a
+    /// resume uses the shard-aware reader. `None` (the default) is an
+    /// ordinary unsharded campaign (shard 0 of 1).
     pub shard: Option<ShardInfo>,
     /// Test instrumentation: called with `(index, fault)` before each fault
     /// is simulated, inside the worker (and inside panic isolation).
@@ -591,7 +591,7 @@ pub fn try_run_campaign(
         if options.resume {
             let path = options.checkpoint.as_ref().ok_or_else(|| Error::Checkpoint {
                 path: "<none>".into(),
-                line: None,
+                record: None,
                 message: "resume requested without a checkpoint path".into(),
             })?;
             let load = match &options.shard {
@@ -620,7 +620,7 @@ pub fn try_run_campaign(
         .into_iter()
         .map(|slot| slot.ok_or_else(|| Error::Checkpoint {
             path: "<internal>".into(),
-            line: None,
+            record: None,
             message: "a fault was left unsimulated".into(),
         }))
         .collect::<Result<Vec<_>, _>>()?;
@@ -741,16 +741,6 @@ fn run_all(
     let ladder = (options.moa.degrade && options.moa.degrade_adaptive)
         .then(|| Arc::new(LadderStats::new()));
 
-    let flush = |slots: &[Option<FaultResult>]| -> Result<(), Error> {
-        if let Some(path) = &options.checkpoint {
-            match &options.shard {
-                Some(info) => write_checkpoint_v2(path, header, Some(info), slots)?,
-                None => write_checkpoint(path, header, slots)?,
-            }
-        }
-        Ok(())
-    };
-
     if !options.collapse {
         run_stage(
             circuit, seq, good, faults, options, frames, header, &cones,
@@ -760,7 +750,7 @@ fn run_all(
         // an empty shard) the stage never flushed; a shard must still publish
         // its file so the merge sees every member of the partition.
         if pending.is_empty() {
-            flush(slots)?;
+            flush(options, header, slots)?;
         }
         return Ok(None);
     }
@@ -836,7 +826,7 @@ fn run_all(
     // them out before stage two so a kill during the fallback runs resumes
     // with the expansion intact (and so an all-inherited shard still
     // publishes its file).
-    flush(slots)?;
+    flush(options, header, slots)?;
     run_stage(
         circuit, seq, good, faults, options, frames, header, &cones,
         ladder.as_ref(), &fallback, slots, perf,
@@ -876,6 +866,19 @@ fn order_pending(
     }
 }
 
+/// Publishes the campaign's completed slots to its checkpoint file, if it
+/// has one.
+fn flush(
+    options: &CampaignOptions,
+    header: &CheckpointHeader,
+    slots: &[Option<FaultResult>],
+) -> Result<(), Error> {
+    match &options.checkpoint {
+        Some(path) => write_checkpoint_v2(path, header, options.shard.as_ref(), slots),
+        None => Ok(()),
+    }
+}
+
 /// Runs one stage of a campaign: screens `pending`, simulates it in
 /// checkpoint-sized batches, flushes after every batch and observes
 /// cancellation at batch boundaries.
@@ -900,22 +903,13 @@ fn run_stage(
     } else {
         pending.len().max(1)
     };
-    let flush = |slots: &[Option<FaultResult>]| -> Result<(), Error> {
-        if let Some(path) = &options.checkpoint {
-            match &options.shard {
-                Some(info) => write_checkpoint_v2(path, header, Some(info), slots)?,
-                None => write_checkpoint(path, header, slots)?,
-            }
-        }
-        Ok(())
-    };
     let cancelled = || options.cancel.as_ref().is_some_and(|probe| probe());
     for batch in pending.chunks(batch_size) {
         // Cancellation is only observed here, at a batch boundary: every
         // completed batch is already flushed, so the checkpoint on disk is
         // consistent and a resume re-simulates nothing it already has.
         if cancelled() {
-            flush(slots)?;
+            flush(options, header, slots)?;
             return Err(Error::Interrupted {
                 completed: slots.iter().filter(|slot| slot.is_some()).count(),
                 total: slots.len(),
@@ -935,7 +929,7 @@ fn run_stage(
             slots,
             perf,
         );
-        flush(slots)?;
+        flush(options, header, slots)?;
     }
     Ok(())
 }
@@ -1938,20 +1932,17 @@ mod tests {
             },
         );
 
-        // Flip one interior record to garbage, as a crashed writer might.
-        let text = std::fs::read_to_string(&path).unwrap();
-        let mangled: Vec<&str> = text
-            .lines()
-            .map(|line| {
-                if line.starts_with("fault 2 ") {
-                    "fault 2 garbage"
-                } else {
-                    line
-                }
-            })
-            .collect();
-        std::fs::write(&path, mangled.join("\n") + "\n").unwrap();
+        // Flip one bit inside the first record's payload, as bit rot might.
+        // The body starts after the 12-byte magic and the length-prefixed,
+        // checksummed header; the record's tag and length word come first.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let header_len = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+        let first_record = 12 + 4 + header_len + 4;
+        bytes[first_record + 5 + 8] ^= 0x08;
+        std::fs::write(&path, &bytes).unwrap();
 
+        let simulated = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let seen = Arc::clone(&simulated);
         let resumed = run_campaign(
             &c,
             &seq,
@@ -1959,11 +1950,21 @@ mod tests {
             &CampaignOptions {
                 checkpoint: Some(path.clone()),
                 resume: true,
+                fault_hook: Some(Arc::new(move |index, _fault: &Fault| {
+                    seen.lock().unwrap().push(index);
+                })),
                 ..Default::default()
             },
         );
         assert_eq!(resumed.resume_skipped.len(), 1, "{:?}", resumed.resume_skipped);
-        assert!(resumed.resume_skipped[0].line > 4, "damage is in the body");
+        assert_eq!(resumed.resume_skipped[0].record, 1, "the first record");
+        let located = format!("record 1 at byte {first_record}: checksum mismatch");
+        assert!(resumed.resume_skipped[0].message.contains(&located));
+        assert_eq!(
+            *simulated.lock().unwrap(),
+            vec![0],
+            "only the damaged record's fault re-simulates; the records after it load"
+        );
         assert_eq!(reference, resumed, "the skipped record is simply re-simulated");
     }
 

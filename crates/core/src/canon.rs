@@ -179,11 +179,11 @@ pub fn canonical_fault_text(circuit: &Circuit, fault: &Fault) -> String {
 
 /// Hashes the verdict-relevant slice of the options. Execution-strategy
 /// fields (threads, screening and its lane width / thread count,
-/// differential, packed resimulation, cone bounding) are deliberately
-/// absent: the parity test suite locks them verdict-identical, so requests
-/// differing only in strategy share a cache entry. Every field is written tagged, fixed-width, in a fixed order —
-/// a request with defaulted fields hashes identically to one spelling the
-/// same values out, because both hash the resolved struct.
+/// differential, packed resimulation) are deliberately absent: the parity
+/// test suite locks them verdict-identical, so requests differing only in
+/// strategy share a cache entry. Every field is written tagged, fixed-width,
+/// in a fixed order — a request with defaulted fields hashes identically to
+/// one spelling the same values out, because both hash the resolved struct.
 fn hash_options(h: &mut Fnv128, options: &CampaignOptions) {
     let MoaOptions {
         n_states,
@@ -194,7 +194,6 @@ fn hash_options(h: &mut Fnv128, options: &CampaignOptions) {
         backward_time_units,
         packed_resimulation: _,
         include_final_time_unit,
-        cone_bounded: _,
         static_learning,
         max_frontier_states,
         degrade,
@@ -362,7 +361,6 @@ mod tests {
         neutral.screen_lanes = crate::ScreenLanes::L256;
         neutral.screen_threads = 4;
         neutral.moa.packed_resimulation = true;
-        neutral.moa.cone_bounded = false;
         // Collapse and ordering change the schedule, never the verdicts:
         // both stay out of the request hash so a collapsed or reordered
         // campaign can reuse (and be deduped against) the plain one.

@@ -1,76 +1,11 @@
 //! Campaign checkpointing: periodic serialization of per-fault results to a
 //! sidecar file, so an interrupted campaign can resume where it left off.
 //!
-//! The format is a hand-rolled line protocol (no serialization dependency):
-//!
-//! ```text
-//! moa-checkpoint v1
-//! circuit <name>
-//! faults <total>
-//! seq-len <L>
-//! fault <index> <runs> <n_det> <n_conf> <n_extra> <status...>
-//! ```
-//!
-//! One `fault` line per *completed* fault, in any order; unfinished faults
-//! simply have no line. The header triple (`circuit`, `faults`, `seq-len`)
-//! guards a resume against being pointed at a checkpoint from a different
-//! campaign. The `status...` tail is one of:
-//!
-//! ```text
-//! conv <time> <output>          detected conventionally
-//! skip-c                        dropped by condition (C)
-//! impl <u> <i>                  detected by implications (Section 3.2)
-//! forced                        detected by contradictory forced assignments
-//! expanded <sequences>          detected after expansion + resimulation
-//! not-detected <undecided> <sequences> <truncated:0|1> <aborted:0|1>
-//! untestable <proof>            statically proven untestable (skipped);
-//!                               proof is `unobservable` or `constant <0|1>`
-//! budget <stage> <work>         abandoned when the fault budget ran out
-//! partial <reached> <tripped> <work> detected <n>
-//!                             | not-detected <undecided> <sequences>
-//!                             | unknown
-//!                               degradation-ladder lower bound; `reached`
-//!                               is `expansion-only` or `conventional`,
-//!                               `tripped` the exhausted budget stage
-//! faulted <escaped message>     worker panicked (isolated)
-//! audit-failed <escaped reason> detection refuted by the certificate audit
-//! ```
-//!
-//! Statuses round-trip exactly ([`FaultStatus`] is `Eq`), so a resumed
-//! campaign aggregates a [`CampaignResult`](crate::CampaignResult) identical
-//! to an uninterrupted run — asserted by the integration tests. Writes go
-//! through a temp file that is flushed *and fsynced* before the atomic
-//! rename, so neither an interrupt mid-write nor a machine crash shortly
-//! after the rename can publish a half-written checkpoint.
-//!
-//! # Corruption tolerance
-//!
-//! Checkpoints written by other means (a copy interrupted mid-transfer, a
-//! filesystem without atomic rename, bit rot) can contain damaged records.
-//! Resume degrades instead of aborting:
-//!
-//! - a final line with no terminating newline is *dropped* — even if the
-//!   prefix happens to parse, since a truncation can silently corrupt a
-//!   numeric field — and the affected fault is re-simulated;
-//! - a corrupt *interior* record (unparseable, out-of-range index, or a
-//!   duplicate of an earlier record) is skipped with a located
-//!   [`CheckpointSkip`] warning, returned in [`CheckpointLoad::skipped`]
-//!   and surfaced through
-//!   [`CampaignResult::resume_skipped`](crate::CampaignResult::resume_skipped);
-//!   the record's fault is re-simulated.
-//!
-//! Only the header stays strict: a bad magic line, a damaged header field
-//! or a campaign-identity mismatch is still a hard [`Error::Checkpoint`],
-//! because nothing in the body can be trusted without it.
-//!
-//! # Format v2 (binary, checksummed)
-//!
-//! Sharded campaigns ([`crate::shard`]) ship fault records between processes
-//! and machines, where the line protocol's "drop what doesn't parse" story is
-//! too weak: a flipped bit inside a numeric field still parses. Format v2 is
-//! the on-disk and on-wire representation for shard files — packed binary,
-//! little-endian, with a CRC32 over every header and record payload and an
-//! explicit end-of-shard trailer carrying the record count:
+//! One on-disk format (v2) serves every producer — `--checkpoint` sidecars,
+//! the per-shard files of [`crate::shard`], spool results and the shard
+//! uploads of remote workers: packed binary, little-endian, hand-rolled (no
+//! serialization dependency), with a CRC32 over every header and record
+//! payload and an explicit end-of-file trailer carrying the record count:
 //!
 //! ```text
 //! "moa-ckpt-v2\n"                                   12-byte magic
@@ -85,23 +20,43 @@
 //! 0x02 | u64 record-count | u32 crc32(count)        end-of-shard trailer
 //! ```
 //!
-//! An unsharded v2 file is simply shard 0 of 1 covering `[0, total)`.
-//! [`read_checkpoint`] auto-detects the version by magic, so a resume accepts
-//! either format; [`write_checkpoint_v2`] writes v2 with the same
-//! temp-file + fsync + atomic-rename dance as v1.
+//! An unsharded checkpoint is simply shard 0 of 1 covering `[0, total)`.
+//! One record per *completed* fault, in any order; unfinished faults simply
+//! have no record. The header's campaign identity (circuit, fault count,
+//! sequence length, shard geometry) guards a resume against being pointed
+//! at a checkpoint from a different campaign. Statuses round-trip exactly
+//! ([`FaultStatus`] is `Eq`), so a resumed campaign aggregates a
+//! [`CampaignResult`](crate::CampaignResult) identical to an uninterrupted
+//! run — asserted by the integration tests.
 //!
-//! Two readers share the decoder but differ in temperament:
+//! [`write_checkpoint_v2`] goes through a temp file that is flushed *and
+//! fsynced* before the atomic rename, so neither an interrupt mid-write nor
+//! a machine crash shortly after the rename can publish a half-written
+//! checkpoint.
 //!
-//! - the *lenient* resume path (`read_checkpoint` /
-//!   [`read_checkpoint_sharded`]) mirrors v1: header damage is fatal, a
-//!   record with a bad checksum or malformed payload is skipped with a
-//!   located [`CheckpointSkip`] and re-simulated, a torn tail is dropped;
+//! # Corruption tolerance
+//!
+//! Checkpoints damaged by other means (a copy interrupted mid-transfer, a
+//! filesystem without atomic rename, bit rot) are read by one of two
+//! readers that share the decoder but differ in temperament:
+//!
+//! - the *lenient* resume path ([`read_checkpoint`] /
+//!   [`read_checkpoint_sharded`]) degrades instead of aborting: a record
+//!   with a bad checksum, a malformed payload, an out-of-range index or a
+//!   duplicate index is skipped with a located [`CheckpointSkip`] warning,
+//!   returned in [`CheckpointLoad::skipped`] and surfaced through
+//!   [`CampaignResult::resume_skipped`](crate::CampaignResult::resume_skipped);
+//!   a torn tail is dropped. The affected faults are simply re-simulated;
 //! - the *strict* merge path ([`read_shard`]) treats **any** damage —
 //!   checksum mismatch, torn record, missing or lying trailer, duplicate or
 //!   out-of-range index — as a located hard error, because a merge must
 //!   never paper over a corrupt transfer.
+//!
+//! On both paths the header stays strict: a missing magic (including any
+//! file that is not v2), a damaged header or a campaign-identity mismatch
+//! is a hard [`Error::Checkpoint`], because nothing in the body can be
+//! trusted without it.
 
-use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
 use std::path::Path;
@@ -113,8 +68,6 @@ use crate::collect::PairKey;
 use crate::counters::Counters;
 use crate::error::Error;
 use crate::procedure::{DegradeStage, FaultResult, FaultStatus, PartialBound};
-
-const MAGIC: &str = "moa-checkpoint v1";
 
 /// Campaign identity stamped into a checkpoint header and validated on
 /// resume.
@@ -128,70 +81,20 @@ pub struct CheckpointHeader {
     pub seq_len: usize,
 }
 
-/// Serializes the completed slice of a campaign.
-///
-/// `results` has one entry per fault; `None` marks a fault not yet
-/// simulated. The file is written atomically (temp file + rename).
-pub fn write_checkpoint(
-    path: &Path,
-    header: &CheckpointHeader,
-    results: &[Option<FaultResult>],
-) -> Result<(), Error> {
-    let mut text = String::new();
-    let _ = writeln!(text, "{MAGIC}");
-    let _ = writeln!(text, "circuit {}", header.circuit);
-    let _ = writeln!(text, "faults {}", header.total_faults);
-    let _ = writeln!(text, "seq-len {}", header.seq_len);
-    for (index, result) in results.iter().enumerate() {
-        let Some(r) = result else { continue };
-        let _ = writeln!(
-            text,
-            "fault {index} {} {} {} {} {}",
-            r.runs,
-            r.counters.n_det,
-            r.counters.n_conf,
-            r.counters.n_extra,
-            status_to_line(&r.status)
-        );
-    }
-
-    let write_err = |source: std::io::Error| Error::CheckpointWrite {
-        path: path.display().to_string(),
-        source,
-    };
-    let tmp = path.with_extension("tmp");
-    #[cfg(feature = "failpoints")]
-    if let Some(e) = crate::failpoint::io_error("fp/checkpoint.write") {
-        return Err(write_err(e));
-    }
-    let mut file = fs::File::create(&tmp).map_err(write_err)?;
-    file.write_all(text.as_bytes()).map_err(write_err)?;
-    // Durability before visibility: fsync the temp file so the rename below
-    // can never publish a checkpoint whose data is still in page cache —
-    // otherwise a crash after the rename could leave a *named* but empty or
-    // partial file, defeating the atomic-replace guarantee.
-    file.sync_all().map_err(write_err)?;
-    drop(file);
-    #[cfg(feature = "failpoints")]
-    if let Some(e) = crate::failpoint::io_error("fp/checkpoint.rename") {
-        return Err(write_err(e));
-    }
-    fs::rename(&tmp, path).map_err(write_err)
-}
-
 /// A corrupt checkpoint record that resume skipped instead of aborting on.
 /// The record's fault is simply re-simulated.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointSkip {
-    /// 1-based line number of the damaged record in the checkpoint file.
-    pub line: usize,
-    /// What was wrong with it.
+    /// 1-based ordinal of the damaged record in the file, or 0 for damage
+    /// after the record stream (a torn, missing or lying trailer).
+    pub record: usize,
+    /// What was wrong with it, located by byte offset where one applies.
     pub message: String,
 }
 
 impl std::fmt::Display for CheckpointSkip {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "line {}: {}", self.line, self.message)
+        f.write_str(&self.message)
     }
 }
 
@@ -202,18 +105,13 @@ pub struct CheckpointLoad {
     /// One entry per fault; `None` = not yet simulated (or its record was
     /// damaged and dropped).
     pub slots: Vec<Option<FaultResult>>,
-    /// Corrupt interior records skipped with their locations, in file
-    /// order.
+    /// Corrupt records skipped with their locations, in file order.
     pub skipped: Vec<CheckpointSkip>,
 }
 
-/// Reads a checkpoint back, validating it against the expected campaign
-/// identity. Header problems are hard errors; damaged body records are
-/// skipped and reported in [`CheckpointLoad::skipped`].
-///
-/// The format version is auto-detected by magic: both the v1 line protocol
-/// and the v2 binary shard format (restricted to unsharded files, i.e.
-/// shard 0 of 1) are accepted.
+/// Reads an unsharded checkpoint back, validating it against the expected
+/// campaign identity. Header problems are hard errors; damaged body records
+/// are skipped and reported in [`CheckpointLoad::skipped`].
 pub fn read_checkpoint(path: &Path, expected: &CheckpointHeader) -> Result<CheckpointLoad, Error> {
     read_checkpoint_impl(path, expected, None)
 }
@@ -231,125 +129,6 @@ pub fn read_checkpoint_sharded(
     shard: &ShardInfo,
 ) -> Result<CheckpointLoad, Error> {
     read_checkpoint_impl(path, expected, Some(shard))
-}
-
-fn read_checkpoint_impl(
-    path: &Path,
-    expected: &CheckpointHeader,
-    shard: Option<&ShardInfo>,
-) -> Result<CheckpointLoad, Error> {
-    let err = |line: Option<usize>, message: String| Error::Checkpoint {
-        path: path.display().to_string(),
-        line,
-        message,
-    };
-    #[cfg(feature = "failpoints")]
-    if let Some(e) = crate::failpoint::io_error("fp/checkpoint.resume") {
-        return Err(err(None, format!("cannot read checkpoint: {e}")));
-    }
-    let bytes = fs::read(path).map_err(|e| err(None, format!("cannot read checkpoint: {e}")))?;
-    if bytes.starts_with(MAGIC_V2) {
-        return read_v2_lenient(path, &bytes, expected, shard);
-    }
-    let text = String::from_utf8(bytes).map_err(|_| {
-        err(
-            None,
-            "not a checkpoint file (binary data without the v2 magic)".into(),
-        )
-    })?;
-    // A v1 file resuming a shard campaign is the migration path: its records
-    // already carry shard-local indices, so no translation is needed.
-    read_v1_text(path, &text, expected)
-}
-
-fn read_v1_text(
-    path: &Path,
-    text: &str,
-    expected: &CheckpointHeader,
-) -> Result<CheckpointLoad, Error> {
-    let err = |line: Option<usize>, message: String| Error::Checkpoint {
-        path: path.display().to_string(),
-        line,
-        message,
-    };
-    let mut all_lines: Vec<(usize, &str)> = text.lines().enumerate().collect();
-    // Torn-write tolerance (see the module docs): a file that does not end
-    // in a newline was cut off mid-record. Drop the partial final line —
-    // unconditionally, because a truncated numeric field can still parse —
-    // and let the campaign re-simulate that fault.
-    if !text.is_empty() && !text.ends_with('\n') {
-        all_lines.pop();
-    }
-    let mut lines = all_lines.into_iter();
-
-    let mut expect_header = |key: &str| -> Result<String, Error> {
-        let (i, line) = lines
-            .next()
-            .ok_or_else(|| err(None, "truncated header".into()))?;
-        if key.is_empty() {
-            if line == MAGIC {
-                return Ok(String::new());
-            }
-            return Err(err(Some(i + 1), format!("not a checkpoint file (expected `{MAGIC}`)")));
-        }
-        line.strip_prefix(key)
-            .and_then(|rest| rest.strip_prefix(' '))
-            .map(str::to_owned)
-            .ok_or_else(|| err(Some(i + 1), format!("expected `{key} ...`, found {line:?}")))
-    };
-    expect_header("")?;
-    let circuit = expect_header("circuit")?;
-    let faults_text = expect_header("faults")?;
-    let seq_len_text = expect_header("seq-len")?;
-    // Release the closure's borrow of `lines` for the body loop below.
-    #[allow(clippy::drop_non_drop)]
-    drop(expect_header);
-
-    let total_faults: usize = faults_text
-        .parse()
-        .map_err(|_| err(Some(3), format!("bad fault count {faults_text:?}")))?;
-    let seq_len: usize = seq_len_text
-        .parse()
-        .map_err(|_| err(Some(4), format!("bad sequence length {seq_len_text:?}")))?;
-    let header = CheckpointHeader {
-        circuit,
-        total_faults,
-        seq_len,
-    };
-    if header != *expected {
-        return Err(err(None, mismatch_message(&header, expected)));
-    }
-
-    let mut results: Vec<Option<FaultResult>> = vec![None; total_faults];
-    let mut skipped: Vec<CheckpointSkip> = Vec::new();
-    for (i, line) in lines {
-        if line.is_empty() {
-            continue;
-        }
-        // A damaged record is skipped, not fatal: its fault re-simulates.
-        match parse_fault_line(line, total_faults) {
-            Ok((index, result)) => {
-                if results[index].is_some() {
-                    skipped.push(CheckpointSkip {
-                        line: i + 1,
-                        message: format!(
-                            "duplicate record for fault {index} (keeping the first)"
-                        ),
-                    });
-                } else {
-                    results[index] = Some(result);
-                }
-            }
-            Err(message) => skipped.push(CheckpointSkip {
-                line: i + 1,
-                message,
-            }),
-        }
-    }
-    Ok(CheckpointLoad {
-        slots: results,
-        skipped,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -696,13 +475,15 @@ fn decode_record_payload(payload: &[u8]) -> Result<(u64, FaultResult), String> {
 
 /// Serializes the completed slice of a campaign in format v2.
 ///
-/// `header` is the identity of the *writing* campaign: for a shard that is
-/// the shard-local fault list (`header.total_faults == shard.len`). The
-/// file's header always records the global campaign identity, and record
-/// indices are written as global indices (`shard.offset + local`). With
-/// `shard == None` the file is the trivial shard 0 of 1.
+/// `results` has one entry per fault of the *writing* campaign; `None`
+/// marks a fault not yet simulated. `header` is the writing campaign's
+/// identity: for a shard that is the shard-local fault list
+/// (`header.total_faults == shard.len`). The file's header always records
+/// the global campaign identity, and record indices are written as global
+/// indices (`shard.offset + local`). With `shard == None` the file is the
+/// trivial shard 0 of 1.
 ///
-/// Written atomically like v1: temp file, `fsync`, rename.
+/// Written atomically: temp file, `fsync`, rename.
 pub fn write_checkpoint_v2(
     path: &Path,
     header: &CheckpointHeader,
@@ -733,26 +514,12 @@ pub fn write_checkpoint_v2(
     put_u32(&mut bytes, crc32(&payload));
 
     let mut record_count = 0u64;
-    let mut payload = Vec::with_capacity(128);
     for (local, result) in results.iter().enumerate() {
         let Some(r) = result else { continue };
-        payload.clear();
-        put_u64(&mut payload, info.offset + local as u64);
-        put_u64(&mut payload, r.runs as u64);
-        put_u64(&mut payload, r.counters.n_det);
-        put_u64(&mut payload, r.counters.n_conf);
-        put_u64(&mut payload, r.counters.n_extra);
-        encode_status(&mut payload, &r.status);
-        bytes.push(TAG_RECORD);
-        put_u32(&mut bytes, payload.len() as u32);
-        bytes.extend_from_slice(&payload);
-        put_u32(&mut bytes, crc32(&payload));
+        push_record(&mut bytes, info.offset + local as u64, r);
         record_count += 1;
     }
-    bytes.push(TAG_TRAILER);
-    let count_bytes = record_count.to_le_bytes();
-    bytes.extend_from_slice(&count_bytes);
-    put_u32(&mut bytes, crc32(&count_bytes));
+    push_trailer(&mut bytes, record_count);
 
     let write_err = |source: std::io::Error| Error::CheckpointWrite {
         path: path.display().to_string(),
@@ -760,12 +527,22 @@ pub fn write_checkpoint_v2(
     };
     let tmp = path.with_extension("tmp");
     #[cfg(feature = "failpoints")]
-    if let Some(e) = crate::failpoint::io_error("fp/shard.write") {
-        return Err(write_err(e));
+    {
+        let site = if shard.is_some() {
+            "fp/shard.write"
+        } else {
+            "fp/checkpoint.write"
+        };
+        if let Some(e) = crate::failpoint::io_error(site) {
+            return Err(write_err(e));
+        }
     }
     let mut file = fs::File::create(&tmp).map_err(write_err)?;
     file.write_all(&bytes).map_err(write_err)?;
-    // Same durability-before-visibility rule as the v1 writer.
+    // Durability before visibility: fsync the temp file so the rename below
+    // can never publish a checkpoint whose data is still in page cache —
+    // otherwise a crash after the rename could leave a *named* but empty or
+    // partial file, defeating the atomic-replace guarantee.
     file.sync_all().map_err(write_err)?;
     drop(file);
     #[cfg(feature = "failpoints")]
@@ -773,6 +550,33 @@ pub fn write_checkpoint_v2(
         return Err(write_err(e));
     }
     fs::rename(&tmp, path).map_err(write_err)
+}
+
+/// Appends one checksummed record frame for fault `global`, encoding the
+/// payload in place and patching its length afterwards.
+fn push_record(bytes: &mut Vec<u8>, global: u64, r: &FaultResult) {
+    bytes.push(TAG_RECORD);
+    let len_at = bytes.len();
+    put_u32(bytes, 0);
+    let start = bytes.len();
+    put_u64(bytes, global);
+    put_u64(bytes, r.runs as u64);
+    put_u64(bytes, r.counters.n_det);
+    put_u64(bytes, r.counters.n_conf);
+    put_u64(bytes, r.counters.n_extra);
+    encode_status(bytes, &r.status);
+    let len = (bytes.len() - start) as u32;
+    bytes[len_at..start].copy_from_slice(&len.to_le_bytes());
+    let crc = crc32(&bytes[start..]);
+    put_u32(bytes, crc);
+}
+
+/// Appends the checksummed end-of-shard trailer promising `count` records.
+fn push_trailer(bytes: &mut Vec<u8>, count: u64) {
+    bytes.push(TAG_TRAILER);
+    let count_bytes = count.to_le_bytes();
+    bytes.extend_from_slice(&count_bytes);
+    put_u32(bytes, crc32(&count_bytes));
 }
 
 /// The strictly-validated contents of one v2 shard file.
@@ -796,11 +600,16 @@ fn read_v2_header(
 ) -> Result<(CheckpointHeader, ShardInfo, usize), Error> {
     let err = |message: String| Error::Checkpoint {
         path: path.display().to_string(),
-        line: None,
+        record: None,
         message,
     };
+    if !bytes.starts_with(MAGIC_V2) {
+        return Err(err(
+            "not a checkpoint file: missing the `moa-ckpt-v2` magic at byte 0".into(),
+        ));
+    }
     let mut cur = Cursor::new(bytes);
-    cur.take(MAGIC_V2.len(), "magic").map_err(err)?;
+    cur.pos = MAGIC_V2.len();
     let header_len = cur.u32("header length").map_err(err)? as usize;
     let payload = cur.take(header_len, "header").map_err(err)?;
     let stored = cur.u32("header checksum").map_err(err)?;
@@ -944,21 +753,25 @@ fn walk_v2_body(bytes: &[u8], body_start: usize, mut visit: impl FnMut(V2Item) -
     }
 }
 
-/// The lenient v2 resume reader (see the module docs for the damage
-/// policy). `expected` is the resuming campaign's identity — shard-local
-/// when `shard` is given, global otherwise.
-fn read_v2_lenient(
+/// The lenient resume reader (see the module docs for the damage policy).
+/// `expected` is the resuming campaign's identity — shard-local when
+/// `shard` is given, global otherwise.
+fn read_checkpoint_impl(
     path: &Path,
-    bytes: &[u8],
     expected: &CheckpointHeader,
     shard: Option<&ShardInfo>,
 ) -> Result<CheckpointLoad, Error> {
     let err = |message: String| Error::Checkpoint {
         path: path.display().to_string(),
-        line: None,
+        record: None,
         message,
     };
-    let (header, info, body_start) = read_v2_header(path, bytes)?;
+    #[cfg(feature = "failpoints")]
+    if let Some(e) = crate::failpoint::io_error("fp/checkpoint.resume") {
+        return Err(err(format!("cannot read checkpoint: {e}")));
+    }
+    let bytes = fs::read(path).map_err(|e| err(format!("cannot read checkpoint: {e}")))?;
+    let (header, info, body_start) = read_v2_header(path, &bytes)?;
     match shard {
         None => {
             if info.shard_count != 1 {
@@ -1007,7 +820,9 @@ fn read_v2_lenient(
     let mut saw_trailer = false;
     let mut stored_count = 0u64;
     let mut frames = 0u64;
-    walk_v2_body(bytes, body_start, |item| match item {
+    // Where the record stream stopped short of a trailer.
+    let mut stream_end = bytes.len();
+    walk_v2_body(&bytes, body_start, |item| match item {
         V2Item::Record(ordinal, at, decoded) => {
             frames = ordinal;
             match decoded {
@@ -1018,7 +833,7 @@ fn read_v2_lenient(
                         .map(|l| l as usize);
                     match local {
                         None => skipped.push(CheckpointSkip {
-                            line: ordinal as usize,
+                            record: ordinal as usize,
                             message: format!(
                                 "record {ordinal} at byte {at}: fault index {global} outside \
                                  the shard range [{}, {})",
@@ -1027,7 +842,7 @@ fn read_v2_lenient(
                             ),
                         }),
                         Some(local) if slots[local].is_some() => skipped.push(CheckpointSkip {
-                            line: ordinal as usize,
+                            record: ordinal as usize,
                             message: format!(
                                 "record {ordinal} at byte {at}: duplicate record for fault \
                                  {global} (keeping the first)"
@@ -1037,7 +852,7 @@ fn read_v2_lenient(
                     }
                 }
                 Err(message) => skipped.push(CheckpointSkip {
-                    line: ordinal as usize,
+                    record: ordinal as usize,
                     message: format!("record {ordinal} at byte {at}: {message}"),
                 }),
             }
@@ -1050,18 +865,22 @@ fn read_v2_lenient(
                     stored_count = count;
                 }
                 Err(message) => skipped.push(CheckpointSkip {
-                    line: 0,
+                    record: 0,
                     message: format!("byte {at}: {message}"),
                 }),
             }
             false
         }
-        // A torn tail mirrors v1's un-terminated final line: dropped
-        // silently, the missing-trailer warning below records the cut.
-        V2Item::Torn(_) => false,
+        // A torn tail is dropped; the missing-trailer warning below
+        // records where the file was cut.
+        V2Item::Torn(at) => {
+            stream_end = at;
+            false
+        }
         V2Item::BadTag(at, tag) => {
+            stream_end = at;
             skipped.push(CheckpointSkip {
-                line: 0,
+                record: 0,
                 message: format!(
                     "byte {at}: unrecognized tag {tag:#04x}; dropping the rest of the \
                      record stream"
@@ -1072,14 +891,15 @@ fn read_v2_lenient(
     });
     if !saw_trailer {
         skipped.push(CheckpointSkip {
-            line: 0,
-            message: "missing end-of-shard trailer (torn file?); kept the records that \
-                      checksummed clean"
-                .into(),
+            record: 0,
+            message: format!(
+                "byte {stream_end}: missing end-of-shard trailer (torn file?); kept the \
+                 records that checksummed clean"
+            ),
         });
     } else if stored_count != frames {
         skipped.push(CheckpointSkip {
-            line: 0,
+            record: 0,
             message: format!(
                 "end-of-shard trailer promises {stored_count} record(s), found {frames}"
             ),
@@ -1091,12 +911,12 @@ fn read_v2_lenient(
 /// Reads a v2 shard file **strictly** for an integrity-verified merge: any
 /// damage — bad checksum anywhere, malformed payload, torn record, missing
 /// or mismatching trailer, duplicate or out-of-range fault index — is a
-/// located hard [`Error::Checkpoint`]. `line` in the error is the 1-based
+/// located hard [`Error::Checkpoint`]. `record` in the error is the 1-based
 /// record ordinal where applicable.
 pub fn read_shard(path: &Path) -> Result<ShardFile, Error> {
-    let err = |line: Option<usize>, message: String| Error::Checkpoint {
+    let err = |record: Option<usize>, message: String| Error::Checkpoint {
         path: path.display().to_string(),
-        line,
+        record,
         message,
     };
     #[cfg(feature = "failpoints")]
@@ -1104,12 +924,6 @@ pub fn read_shard(path: &Path) -> Result<ShardFile, Error> {
         return Err(err(None, format!("cannot read shard file: {e}")));
     }
     let bytes = fs::read(path).map_err(|e| err(None, format!("cannot read shard file: {e}")))?;
-    if !bytes.starts_with(MAGIC_V2) {
-        return Err(err(
-            None,
-            "not a v2 shard file (missing `moa-ckpt-v2` magic)".into(),
-        ));
-    }
     let (header, shard, body_start) = read_v2_header(path, &bytes)?;
     let mut records: Vec<(u64, FaultResult)> = Vec::new();
     let mut seen = vec![false; shard.len as usize];
@@ -1210,7 +1024,7 @@ pub fn read_shard(path: &Path) -> Result<ShardFile, Error> {
     })
 }
 
-/// The v1 "different campaign" message, shared with the v2 readers and the
+/// The "different campaign" message, shared by the resume reader and the
 /// shard merge.
 pub(crate) fn mismatch_message(found: &CheckpointHeader, expected: &CheckpointHeader) -> String {
     format!(
@@ -1224,204 +1038,6 @@ pub(crate) fn mismatch_message(found: &CheckpointHeader, expected: &CheckpointHe
         expected.total_faults,
         expected.seq_len
     )
-}
-
-/// Parses one `fault ...` body line; the error string locates the damage
-/// for the skip warning.
-fn parse_fault_line(line: &str, total_faults: usize) -> Result<(usize, FaultResult), String> {
-    let rest = line
-        .strip_prefix("fault ")
-        .ok_or_else(|| format!("expected `fault ...`, found {line:?}"))?;
-    let mut fields = rest.splitn(6, ' ');
-    let mut next_num = |what: &str| -> Result<u64, String> {
-        let field = fields.next().ok_or_else(|| format!("missing {what}"))?;
-        field
-            .parse()
-            .map_err(|_| format!("bad {what} {field:?}"))
-    };
-    let index = next_num("fault index")? as usize;
-    let runs = next_num("run count")? as usize;
-    let counters = Counters {
-        n_det: next_num("n_det")?,
-        n_conf: next_num("n_conf")?,
-        n_extra: next_num("n_extra")?,
-    };
-    let status_text = fields.next().ok_or_else(|| "missing status".to_owned())?;
-    let status =
-        status_from_line(status_text).ok_or_else(|| format!("bad status {status_text:?}"))?;
-    if index >= total_faults {
-        return Err(format!(
-            "fault index {index} out of range (campaign has {total_faults} faults)"
-        ));
-    }
-    Ok((
-        index,
-        FaultResult {
-            status,
-            counters,
-            runs,
-        },
-    ))
-}
-
-fn status_to_line(status: &FaultStatus) -> String {
-    match status {
-        FaultStatus::DetectedConventional(d) => format!("conv {} {}", d.time, d.output),
-        FaultStatus::SkippedConditionC => "skip-c".into(),
-        FaultStatus::DetectedByImplications(k) => format!("impl {} {}", k.u, k.i),
-        FaultStatus::DetectedByForcedAssignments => "forced".into(),
-        FaultStatus::DetectedByExpansion { sequences } => format!("expanded {sequences}"),
-        FaultStatus::NotDetected {
-            undecided,
-            sequences,
-            truncated,
-            aborted,
-        } => format!(
-            "not-detected {undecided} {sequences} {} {}",
-            u8::from(*truncated),
-            u8::from(*aborted)
-        ),
-        FaultStatus::Untestable { proof } => match proof {
-            moa_analyze::UntestableProof::Unobservable => "untestable unobservable".into(),
-            moa_analyze::UntestableProof::ConstantLine { value } => {
-                format!("untestable constant {}", u8::from(*value))
-            }
-        },
-        FaultStatus::BudgetExceeded { stage, work } => format!("budget {stage} {work}"),
-        FaultStatus::PartialVerdict {
-            lower_bound,
-            stage_reached,
-            tripped,
-            work_spent,
-        } => {
-            let bound = match lower_bound {
-                PartialBound::Detected { sequences } => format!("detected {sequences}"),
-                PartialBound::NotDetected {
-                    undecided,
-                    sequences,
-                } => format!("not-detected {undecided} {sequences}"),
-                PartialBound::Unknown => "unknown".into(),
-            };
-            format!("partial {stage_reached} {tripped} {work_spent} {bound}")
-        }
-        FaultStatus::Faulted { message } => format!("faulted {}", escape(message)),
-        FaultStatus::AuditFailed { reason } => format!("audit-failed {}", escape(reason)),
-    }
-}
-
-fn status_from_line(text: &str) -> Option<FaultStatus> {
-    let (kind, rest) = match text.split_once(' ') {
-        Some((kind, rest)) => (kind, rest),
-        None => (text, ""),
-    };
-    let mut nums = rest.split(' ').map(str::parse::<usize>);
-    let mut next = || nums.next()?.ok();
-    Some(match kind {
-        "conv" => FaultStatus::DetectedConventional(Detection {
-            time: next()?,
-            output: next()?,
-        }),
-        "skip-c" if rest.is_empty() => FaultStatus::SkippedConditionC,
-        "impl" => FaultStatus::DetectedByImplications(PairKey {
-            u: next()?,
-            i: next()?,
-        }),
-        "forced" if rest.is_empty() => FaultStatus::DetectedByForcedAssignments,
-        "expanded" => FaultStatus::DetectedByExpansion { sequences: next()? },
-        "not-detected" => FaultStatus::NotDetected {
-            undecided: next()?,
-            sequences: next()?,
-            truncated: parse_bool(next()?)?,
-            aborted: parse_bool(next()?)?,
-        },
-        "untestable" => FaultStatus::Untestable {
-            proof: match rest {
-                "unobservable" => moa_analyze::UntestableProof::Unobservable,
-                "constant 0" => moa_analyze::UntestableProof::ConstantLine { value: false },
-                "constant 1" => moa_analyze::UntestableProof::ConstantLine { value: true },
-                _ => return None,
-            },
-        },
-        "budget" => {
-            let (stage, work) = rest.split_once(' ')?;
-            FaultStatus::BudgetExceeded {
-                stage: stage.parse().ok()?,
-                work: work.parse().ok()?,
-            }
-        }
-        "partial" => {
-            let mut parts = rest.splitn(4, ' ');
-            let stage_reached: DegradeStage = parts.next()?.parse().ok()?;
-            let tripped: BudgetStage = parts.next()?.parse().ok()?;
-            let work_spent: u64 = parts.next()?.parse().ok()?;
-            let bound_text = parts.next()?;
-            let lower_bound = match bound_text.split_once(' ') {
-                None if bound_text == "unknown" => PartialBound::Unknown,
-                Some(("detected", n)) => PartialBound::Detected {
-                    sequences: n.parse().ok()?,
-                },
-                Some(("not-detected", rest)) => {
-                    let (u, s) = rest.split_once(' ')?;
-                    PartialBound::NotDetected {
-                        undecided: u.parse().ok()?,
-                        sequences: s.parse().ok()?,
-                    }
-                }
-                _ => return None,
-            };
-            FaultStatus::PartialVerdict {
-                lower_bound,
-                stage_reached,
-                tripped,
-                work_spent,
-            }
-        }
-        "faulted" => FaultStatus::Faulted {
-            message: unescape(rest),
-        },
-        "audit-failed" => FaultStatus::AuditFailed {
-            reason: unescape(rest),
-        },
-        _ => return None,
-    })
-}
-
-fn parse_bool(n: usize) -> Option<bool> {
-    match n {
-        0 => Some(false),
-        1 => Some(true),
-        _ => None,
-    }
-}
-
-/// Escapes newlines and backslashes so a panic message fits one line.
-fn escape(message: &str) -> String {
-    message
-        .replace('\\', "\\\\")
-        .replace('\n', "\\n")
-        .replace('\r', "\\r")
-}
-
-fn unescape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    let mut chars = text.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            // An escaped backslash and a trailing backslash both decode to one.
-            Some('\\') | None => out.push('\\'),
-            Some(other) => {
-                out.push('\\');
-                out.push(other);
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1469,11 +1085,9 @@ mod tests {
 
     #[test]
     fn round_trips_every_status() {
-        let dir = std::env::temp_dir().join("moa-checkpoint-test-roundtrip");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cp.txt");
+        let path = v2_dir("roundtrip-statuses").join("cp.ckpt");
         let results = sample_results();
-        write_checkpoint(&path, &header(), &results).unwrap();
+        write_checkpoint_v2(&path, &header(), None, &results).unwrap();
         let loaded = read_checkpoint(&path, &header()).unwrap();
         assert_eq!(loaded.slots, results);
         assert!(loaded.skipped.is_empty());
@@ -1508,7 +1122,7 @@ mod tests {
                 runs: 4,
             }),
         ];
-        write_checkpoint(&path, &header(), &extra).unwrap();
+        write_checkpoint_v2(&path, &header(), None, &extra).unwrap();
         assert_eq!(read_checkpoint(&path, &header()).unwrap().slots, extra);
 
         // Every shape of the degradation ladder's partial verdict.
@@ -1549,7 +1163,7 @@ mod tests {
             None,
             None,
         ];
-        write_checkpoint(&path, &header(), &partial).unwrap();
+        write_checkpoint_v2(&path, &header(), None, &partial).unwrap();
         assert_eq!(read_checkpoint(&path, &header()).unwrap().slots, partial);
 
         let untestable = vec![
@@ -1577,153 +1191,108 @@ mod tests {
             None,
             None,
         ];
-        write_checkpoint(&path, &header(), &untestable).unwrap();
+        write_checkpoint_v2(&path, &header(), None, &untestable).unwrap();
         assert_eq!(read_checkpoint(&path, &header()).unwrap().slots, untestable);
     }
 
     #[test]
     fn rejects_mismatched_campaign() {
-        let dir = std::env::temp_dir().join("moa-checkpoint-test-mismatch");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cp.txt");
-        write_checkpoint(&path, &header(), &sample_results()).unwrap();
+        let path = v2_dir("mismatch").join("cp.ckpt");
+        write_checkpoint_v2(&path, &header(), None, &sample_results()).unwrap();
         let other = CheckpointHeader {
             circuit: "s208".into(),
             ..header()
         };
         let e = read_checkpoint(&path, &other).unwrap_err();
         assert!(e.to_string().contains("different campaign"), "{e}");
+
+        // A shard file is not an unsharded checkpoint, whatever its identity.
+        let (local, info) = shard_fixture();
+        write_checkpoint_v2(&path, &local, Some(&info), &sample_results()).unwrap();
+        let e = read_checkpoint(&path, &header()).unwrap_err();
+        assert!(e.to_string().contains("expected an unsharded checkpoint"), "{e}");
     }
 
     #[test]
     fn header_damage_is_still_a_hard_error() {
-        let dir = std::env::temp_dir().join("moa-checkpoint-test-corrupt");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = v2_dir("header-damage");
 
-        let missing = dir.join("does-not-exist.txt");
+        let missing = dir.join("does-not-exist.ckpt");
         assert!(read_checkpoint(&missing, &header()).is_err());
 
-        let garbage = dir.join("garbage.txt");
+        let garbage = dir.join("garbage.ckpt");
         std::fs::write(&garbage, "hello world\n").unwrap();
         let e = read_checkpoint(&garbage, &header()).unwrap_err();
         assert!(e.to_string().contains("not a checkpoint file"), "{e}");
+        assert!(e.to_string().contains("byte 0"), "the error is located: {e}");
+        assert!(e.to_string().contains("garbage.ckpt"), "the error names the file: {e}");
 
-        let bad_count = dir.join("bad-count.txt");
-        std::fs::write(&bad_count, format!("{MAGIC}\ncircuit s27\nfaults ??\nseq-len 32\n"))
-            .unwrap();
-        let e = read_checkpoint(&bad_count, &header()).unwrap_err();
-        assert!(e.to_string().contains("bad fault count"), "{e}");
+        // The magic alone: the header is cut off.
+        std::fs::write(&garbage, MAGIC_V2).unwrap();
+        let e = read_checkpoint(&garbage, &header()).unwrap_err();
+        assert!(e.to_string().contains("truncated header length"), "{e}");
+
+        // A flipped bit inside the circuit name (past the magic and the
+        // header length and name length words) fails the header checksum.
+        let damaged = dir.join("bad-header.ckpt");
+        write_checkpoint_v2(&damaged, &header(), None, &sample_results()).unwrap();
+        let mut bytes = std::fs::read(&damaged).unwrap();
+        bytes[MAGIC_V2.len() + 8] ^= 0x01;
+        std::fs::write(&damaged, &bytes).unwrap();
+        let e = read_checkpoint(&damaged, &header()).unwrap_err();
+        assert!(e.to_string().contains("header checksum mismatch"), "{e}");
+        assert!(read_shard(&damaged).is_err(), "the strict reader agrees");
     }
 
     #[test]
-    fn corrupt_interior_records_are_skipped_with_located_warnings() {
-        let dir = std::env::temp_dir().join("moa-checkpoint-test-skip");
-        std::fs::create_dir_all(&dir).unwrap();
-
-        // Slot 1 gets a garbage status, then a valid record; the garbage is
-        // skipped with its line number and the valid record still lands.
-        let bad_line = dir.join("bad-line.txt");
-        write_checkpoint(&bad_line, &header(), &sample_results()).unwrap();
-        let mut text = std::fs::read_to_string(&bad_line).unwrap();
-        text.push_str("fault 1 0 0 0 0 frobnicated\n");
-        text.push_str("fault 1 0 0 0 0 skip-c\n");
-        std::fs::write(&bad_line, text).unwrap();
-        let loaded = read_checkpoint(&bad_line, &header()).unwrap();
-        assert_eq!(loaded.skipped.len(), 1);
-        assert_eq!(loaded.skipped[0].line, 9, "located at the damaged line");
-        assert!(loaded.skipped[0].message.contains("bad status"));
-        assert_eq!(
-            loaded.slots[1],
-            Some(FaultResult {
-                status: FaultStatus::SkippedConditionC,
-                counters: Counters::new(),
-                runs: 0,
-            }),
-            "records after the damage still load"
+    fn damaged_interior_records_are_skipped_and_later_records_still_load() {
+        let path = v2_dir("skip").join("cp.ckpt");
+        write_checkpoint_v2(&path, &header(), None, &sample_results()).unwrap();
+        // Re-open the record stream (drop the 13-byte trailer) and append a
+        // duplicate of fault 0, a record for fault 99 of 5, a record for the
+        // unsimulated fault 1 whose payload fails its checksum, and finally
+        // an intact record for fault 1.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.truncate(bytes.len() - 13);
+        let skip_c = FaultResult {
+            status: FaultStatus::SkippedConditionC,
+            counters: Counters::new(),
+            runs: 0,
+        };
+        push_record(&mut bytes, 0, &skip_c);
+        push_record(&mut bytes, 99, &skip_c);
+        let flipped_at = bytes.len();
+        push_record(
+            &mut bytes,
+            1,
+            &FaultResult {
+                runs: 3,
+                ..skip_c.clone()
+            },
         );
-
-        let out_of_range = dir.join("out-of-range.txt");
-        write_checkpoint(&out_of_range, &header(), &sample_results()).unwrap();
-        let mut text = std::fs::read_to_string(&out_of_range).unwrap();
-        text.push_str("fault 99 0 0 0 0 skip-c\n");
-        std::fs::write(&out_of_range, text).unwrap();
-        let loaded = read_checkpoint(&out_of_range, &header()).unwrap();
-        assert_eq!(loaded.slots, sample_results());
-        assert_eq!(loaded.skipped.len(), 1);
-        assert!(loaded.skipped[0].message.contains("out of range"));
-
-        // A duplicate record keeps the first occurrence and warns.
-        let duplicate = dir.join("duplicate.txt");
-        write_checkpoint(&duplicate, &header(), &sample_results()).unwrap();
-        let mut text = std::fs::read_to_string(&duplicate).unwrap();
-        text.push_str("fault 0 9 9 9 9 forced\n");
-        std::fs::write(&duplicate, text).unwrap();
-        let loaded = read_checkpoint(&duplicate, &header()).unwrap();
-        assert_eq!(loaded.slots, sample_results(), "first record wins");
-        assert_eq!(loaded.skipped.len(), 1);
-        assert!(loaded.skipped[0].message.contains("duplicate"));
-    }
-
-    #[test]
-    fn torn_final_fault_line_is_dropped_and_left_unsimulated() {
-        let dir = std::env::temp_dir().join("moa-checkpoint-test-torn");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("torn.txt");
-        write_checkpoint(&path, &header(), &sample_results()).unwrap();
-        // Cut the file off mid-way through the last fault record, with no
-        // trailing newline — the shape a torn write leaves behind.
-        let text = std::fs::read_to_string(&path).unwrap();
-        let full = text.trim_end_matches('\n');
-        std::fs::write(&path, &full[..full.len() - 3]).unwrap();
+        // Tag (1) + length word (4) + global index (8) lands on `runs`.
+        bytes[flipped_at + 13] ^= 0x01;
+        push_record(&mut bytes, 1, &skip_c);
+        push_trailer(&mut bytes, 8);
+        std::fs::write(&path, &bytes).unwrap();
 
         let loaded = read_checkpoint(&path, &header()).unwrap();
         let mut expected = sample_results();
-        expected[4] = None; // the torn record's fault is re-simulated
-        assert_eq!(loaded.slots, expected);
-        assert!(loaded.skipped.is_empty(), "a torn tail is not a skip warning");
-    }
+        expected[1] = Some(skip_c);
+        assert_eq!(loaded.slots, expected, "first record wins; later records still load");
+        assert_eq!(loaded.skipped.len(), 3, "{:?}", loaded.skipped);
+        assert_eq!(loaded.skipped[0].record, 5);
+        assert!(loaded.skipped[0].message.contains("record 5 at byte"));
+        assert!(loaded.skipped[0].message.contains("duplicate record for fault 0"));
+        assert_eq!(loaded.skipped[1].record, 6);
+        assert!(loaded.skipped[1].message.contains("fault index 99 outside"));
+        assert_eq!(loaded.skipped[2].record, 7);
+        let located = format!("record 7 at byte {flipped_at}: checksum mismatch");
+        assert!(loaded.skipped[2].message.contains(&located), "{:?}", loaded.skipped);
 
-    #[test]
-    fn torn_but_parseable_final_line_is_still_dropped() {
-        // A truncation can leave a prefix that parses (a shortened numeric
-        // field, a clipped message). The un-terminated line is dropped no
-        // matter what, so the slot re-simulates instead of keeping a
-        // possibly-corrupt record.
-        let dir = std::env::temp_dir().join("moa-checkpoint-test-torn-parseable");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("torn.txt");
-        let results = vec![
-            Some(FaultResult {
-                status: FaultStatus::SkippedConditionC,
-                counters: Counters::new(),
-                runs: 0,
-            }),
-            None,
-            None,
-            None,
-            None,
-        ];
-        write_checkpoint(&path, &header(), &results).unwrap();
-        let mut text = std::fs::read_to_string(&path).unwrap();
-        text.push_str("fault 1 0 0 0 0 skip-c"); // valid, but no newline
-        std::fs::write(&path, text).unwrap();
-
-        let loaded = read_checkpoint(&path, &header()).unwrap();
-        assert_eq!(loaded.slots, results, "the torn line must not populate slot 1");
-    }
-
-    #[test]
-    fn fsynced_write_is_bitwise_identical_to_the_legacy_format() {
-        // The durability change (File + write_all + sync_all) must not
-        // change a single byte of the serialized form.
-        let dir = std::env::temp_dir().join("moa-checkpoint-test-fsync");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cp.txt");
-        write_checkpoint(&path, &header(), &sample_results()).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.starts_with(MAGIC));
-        assert!(text.ends_with('\n'));
-        assert!(!path.with_extension("tmp").exists(), "temp file renamed away");
+        // The strict merge reader refuses the same file at the first damage.
+        let e = read_shard(&path).unwrap_err();
+        assert!(e.to_string().contains("duplicate record for fault 0"), "{e}");
     }
 
     /// Shard 1 of 3 of a 12-fault campaign, covering faults [4, 9). The
@@ -1746,13 +1315,13 @@ mod tests {
     }
 
     #[test]
-    fn v2_round_trips_unsharded_and_autodetects_on_resume() {
+    fn v2_round_trips_unsharded_through_both_readers() {
         let path = v2_dir("roundtrip").join("cp.ckpt");
         let results = sample_results();
         write_checkpoint_v2(&path, &header(), None, &results).unwrap();
         assert!(!path.with_extension("tmp").exists(), "temp file renamed away");
 
-        // The resume reader detects v2 by magic — same call as for v1.
+        // The lenient resume reader gets every slot back.
         let loaded = read_checkpoint(&path, &header()).unwrap();
         assert_eq!(loaded.slots, results);
         assert!(loaded.skipped.is_empty());
@@ -1804,27 +1373,31 @@ mod tests {
         let results = sample_results();
         write_checkpoint_v2(&path, &local, Some(&info), &results).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
-        // The trailer is the last 13 bytes (tag + u64 count + u32 crc);
-        // 20 bytes before the end lands inside the last record's payload.
-        let target = bytes.len() - 20;
-        bytes[target] ^= 0x10;
+        // Walk past the magic, the length-prefixed checksummed header and
+        // the first record (tag + length + payload + crc) to the second
+        // record, then flip a bit in its payload: records on both sides of
+        // the damage are intact.
+        let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+        let first = MAGIC_V2.len() + 4 + u32_at(MAGIC_V2.len()) + 4;
+        let second = first + 1 + 4 + u32_at(first + 1) + 4;
+        bytes[second + 5 + 8] ^= 0x10;
         std::fs::write(&path, &bytes).unwrap();
 
         // Lenient resume: the damaged record is skipped with a located
         // warning and its fault re-simulates; everything else loads.
         let loaded = read_checkpoint_sharded(&path, &local, &info).unwrap();
         let mut expected = results;
-        expected[4] = None;
-        assert_eq!(loaded.slots, expected);
+        expected[2] = None;
+        assert_eq!(loaded.slots, expected, "the records after the damage still load");
         assert_eq!(loaded.skipped.len(), 1, "{:?}", loaded.skipped);
         assert!(loaded.skipped[0].message.contains("checksum mismatch"));
-        assert_eq!(loaded.skipped[0].line, 4, "located at the record ordinal");
+        assert_eq!(loaded.skipped[0].record, 2, "located at the record ordinal");
 
         // Strict merge read: the same damage is a located hard error.
         let e = read_shard(&path).unwrap_err();
         let text = e.to_string();
         assert!(text.contains("checksum mismatch"), "{text}");
-        assert!(text.contains("record 4"), "{text}");
+        assert!(text.contains("record 2"), "{text}");
         assert!(text.contains("shard-1.ckpt"), "the error names the file: {text}");
     }
 

@@ -147,49 +147,32 @@ pub fn collect_pairs(
     n_out: &[usize],
     options: &MoaOptions,
 ) -> Collection {
-    collect_pairs_metered(
-        circuit,
-        seq,
-        good,
-        faulty,
-        fault,
-        n_out,
-        options,
-        &mut BudgetMeter::unlimited(),
-    )
-}
-
-/// Like [`collect_pairs`], charging one work unit per implication-engine run
-/// against `meter`. When the meter exhausts, the sweep stops immediately;
-/// the caller must check [`BudgetMeter::is_exhausted`] — a budget stop is
-/// *not* reported through [`Collection::truncated`], which keeps its
-/// [`MoaOptions::max_implication_runs`] meaning.
-#[allow(clippy::too_many_arguments)]
-pub fn collect_pairs_metered(
-    circuit: &Circuit,
-    seq: &TestSequence,
-    good: &SimTrace,
-    faulty: &SimTrace,
-    fault: Option<&Fault>,
-    n_out: &[usize],
-    options: &MoaOptions,
-    meter: &mut BudgetMeter,
-) -> Collection {
     // Frame contexts (the forward-simulated earlier time units) are cached
     // and shared by every assertion of the sweep, including the chained
     // assertions of the multi-time-unit extension.
     let cones = ConeCache::new(circuit);
     let learned = options.static_learning.then(|| cones.learned_db());
     let cache = FrameCache::new(circuit, seq, faulty, fault).with_learned(learned);
-    let collection =
-        collect_pairs_with_cache(circuit, seq, good, n_out, options, &cache, Some(&cones), meter);
-    meter.perf.gate_evals += (cache.frames_built() * circuit.num_gates()) as u64;
-    collection
+    collect_pairs_with_cache(
+        circuit,
+        seq,
+        good,
+        n_out,
+        options,
+        &cache,
+        &cones,
+        &mut BudgetMeter::unlimited(),
+    )
 }
 
 /// Sweep core sharing an externally-owned [`FrameCache`] (so resimulation can
-/// reuse the forward-simulated frames) and an optional [`ConeCache`] (so
-/// campaign workers share the cone regions across faults). The caller is
+/// reuse the forward-simulated frames) and [`ConeCache`] (so campaign workers
+/// share the cone regions across faults), charging one work unit per
+/// implication-engine run against `meter`. When the meter exhausts, the
+/// sweep stops immediately; the caller must check
+/// [`BudgetMeter::is_exhausted`] — a budget stop is *not* reported through
+/// [`Collection::truncated`], which keeps its
+/// [`MoaOptions::max_implication_runs`] meaning. The caller is also
 /// responsible for folding `cache.frames_built()` into its gate-evaluation
 /// tally exactly once.
 #[allow(clippy::too_many_arguments)]
@@ -200,7 +183,7 @@ pub(crate) fn collect_pairs_with_cache(
     n_out: &[usize],
     options: &MoaOptions,
     cache: &FrameCache<'_>,
-    cones: Option<&ConeCache<'_>>,
+    cones: &ConeCache<'_>,
     meter: &mut BudgetMeter,
 ) -> Collection {
     let l = seq.len();
@@ -248,7 +231,7 @@ pub(crate) fn collect_pairs_with_cache(
                     &[(d_net, alpha)],
                     depth,
                     options.implication_rounds,
-                    cones,
+                    Some(cones),
                     &mut scratch,
                 );
                 collection.runs += runs;

@@ -37,7 +37,7 @@ use moa_netlist::full_fault_list;
 use crate::canon::CanonHash;
 use crate::checkpoint::{read_shard, CheckpointHeader};
 use crate::error::Error;
-use crate::shard::{shard_info, shard_path, ShardFailure};
+use crate::shard::{backoff_delay, shard_info, shard_path, ShardFailure};
 use crate::spool::Spool;
 
 /// Dispatch policy knobs.
@@ -492,7 +492,7 @@ impl Dispatcher {
             };
         } else {
             unit.state = UnitState::Pending {
-                not_before: now + backoff_delay(backoff, unit.attempts),
+                not_before: now + backoff_delay(backoff, unit.attempts as usize),
             };
         }
         drop(inner);
@@ -610,17 +610,11 @@ fn expire_leases(inner: &mut DispatchInner, now: Instant, options: &DispatchOpti
                 // this scan: an expiry discovered late (no worker traffic)
                 // must not push the re-dispatch even further out.
                 unit.state = UnitState::Pending {
-                    not_before: *deadline + backoff_delay(options.backoff, unit.attempts),
+                    not_before: *deadline + backoff_delay(options.backoff, unit.attempts as usize),
                 };
             }
         }
     }
-}
-
-/// Attempt `n`'s re-dispatch delay: `base * 2^(n-1)`, doubling capped so
-/// the shift cannot overflow.
-fn backoff_delay(base: Duration, attempt: u32) -> Duration {
-    base.saturating_mul(1 << attempt.saturating_sub(1).min(16))
 }
 
 #[allow(clippy::cast_possible_truncation)]

@@ -37,9 +37,11 @@ pub enum Error {
     Checkpoint {
         /// Path of the checkpoint file.
         path: String,
-        /// 1-based line of the failure, when it is a parse/validation error.
-        line: Option<usize>,
-        /// What went wrong.
+        /// 1-based ordinal of the damaged record, when the failure lies in
+        /// one (see [`CheckpointSkip::record`](crate::CheckpointSkip)).
+        record: Option<usize>,
+        /// What went wrong, located by record ordinal and byte offset where
+        /// one applies.
         message: String,
     },
     /// A checkpoint file could not be written.
@@ -110,10 +112,7 @@ impl fmt::Display for Error {
             Error::FaultOutOfRange { index, fault } => {
                 write!(f, "fault #{index} ({fault}) references a site outside the circuit")
             }
-            Error::Checkpoint { path, line, message } => match line {
-                Some(line) => write!(f, "checkpoint {path}:{line}: {message}"),
-                None => write!(f, "checkpoint {path}: {message}"),
-            },
+            Error::Checkpoint { path, message, .. } => write!(f, "checkpoint {path}: {message}"),
             Error::CheckpointWrite { path, source } => {
                 write!(f, "cannot write checkpoint {path}: {source}")
             }
@@ -149,16 +148,19 @@ mod tests {
         assert!(e.to_string().contains("7-bit"));
         assert!(e.to_string().contains("4 primary inputs"));
         let e = Error::Checkpoint {
-            path: "cp.txt".into(),
-            line: Some(3),
-            message: "bad status".into(),
+            path: "shard-1.ckpt".into(),
+            record: Some(3),
+            message: "record 3 at byte 120: checksum mismatch".into(),
         };
-        assert_eq!(e.to_string(), "checkpoint cp.txt:3: bad status");
+        assert_eq!(
+            e.to_string(),
+            "checkpoint shard-1.ckpt: record 3 at byte 120: checksum mismatch"
+        );
         let e = Error::CheckpointWrite {
-            path: "cp.txt".into(),
+            path: "cp.ckpt".into(),
             source: std::io::Error::new(std::io::ErrorKind::PermissionDenied, "denied"),
         };
-        assert!(e.to_string().contains("cp.txt"));
+        assert!(e.to_string().contains("cp.ckpt"));
         assert!(std::error::Error::source(&e).is_some());
         let e = Error::Shard {
             shard_id: 3,

@@ -24,14 +24,14 @@
 //! | `fp/imply.pass` | every implication-engine pass | panic, delay |
 //! | `fp/resim.frame` | scalar resimulation frame stepping | panic, delay, inflate |
 //! | `fp/resim_packed.frame` | packed resimulation frame stepping | panic, delay, inflate |
-//! | `fp/checkpoint.write` | checkpoint serialization + fsync | error, panic, delay |
+//! | `fp/checkpoint.write` | unsharded v2 serialization + fsync | error, panic, delay |
 //! | `fp/checkpoint.rename` | the atomic rename publishing a checkpoint | error, panic, delay |
 //! | `fp/checkpoint.resume` | checkpoint parsing on resume | error, panic, delay |
 //! | `fp/campaign.worker.spawn` | campaign worker thread creation | error (spawn refusal) |
 //! | `fp/campaign.worker.run` | worker loop, *outside* per-fault isolation | panic, delay |
 //! | `fp/bench.parse` | `.bench` ingestion (`moa_netlist::parse_bench`) | error, panic, delay |
 //! | `fp/analyze.pass` | each `moa_analyze` pass in `run_passes` | panic, delay |
-//! | `fp/shard.write` | v2 shard-file serialization + fsync | error, panic, delay |
+//! | `fp/shard.write` | sharded v2 serialization + fsync | error, panic, delay |
 //! | `fp/shard.read` | strict shard reading during merge | error, panic, delay |
 //! | `fp/shard.run` | shard-worker entry, under the supervisor | panic, delay |
 //! | `fp/serve.send` | daemon/worker protocol line writes (CLI) | error, panic, delay |

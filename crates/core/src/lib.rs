@@ -37,9 +37,10 @@
 //! - panic isolation — each fault's worker runs under `catch_unwind`; a
 //!   crashing fault becomes [`FaultStatus::Faulted`] instead of killing the
 //!   campaign,
-//! - [`write_checkpoint`] / [`read_checkpoint`] — a line-oriented sidecar
-//!   format for interrupt/resume of campaigns (see
-//!   [`CampaignOptions::checkpoint`]),
+//! - [`write_checkpoint_v2`] / [`read_checkpoint`] — a checksummed binary
+//!   sidecar format (v2) for interrupt/resume of campaigns (see
+//!   [`CampaignOptions::checkpoint`]); the same format carries shard files
+//!   and spool results,
 //! - [`Error`] and the fallible entry points [`try_simulate_fault_with`] /
 //!   [`try_run_campaign`] — structured errors instead of panics for invalid
 //!   inputs and checkpoint problems,
@@ -51,8 +52,8 @@
 //!   [`FaultStatus::AuditFailed`] instead of reporting it,
 //! - [`shard`] — crash-safe sharded campaigns: a deterministic fault-list
 //!   [`partition`], per-shard supervision with timeouts/retries/quarantine
-//!   ([`run_sharded`]), checksummed v2 shard files ([`write_checkpoint_v2`])
-//!   and an integrity-verified [`merge_shards`] proven bit-identical to the
+//!   ([`run_sharded`]), one v2 checkpoint file per shard and an
+//!   integrity-verified [`merge_shards`] proven bit-identical to the
 //!   unsharded run.
 //!
 //! The expansion-only baseline of the paper's reference \[4] is the same
@@ -154,12 +155,10 @@ pub use certificate::{
     CertificateClaim, CertificateSource, ClaimKind, DetectionCertificate, StateAssignment,
 };
 pub use checkpoint::{
-    read_checkpoint, read_checkpoint_sharded, read_shard, write_checkpoint, write_checkpoint_v2,
-    CheckpointHeader, CheckpointLoad, CheckpointSkip, ShardFile, ShardInfo,
+    read_checkpoint, read_checkpoint_sharded, read_shard, write_checkpoint_v2, CheckpointHeader,
+    CheckpointLoad, CheckpointSkip, ShardFile, ShardInfo,
 };
-pub use collect::{
-    collect_pairs, collect_pairs_metered, Collection, PairInfo, PairKey, SideEvidence,
-};
+pub use collect::{collect_pairs, Collection, PairInfo, PairKey, SideEvidence};
 pub use condition::{condition_c_holds, n_out_profile, n_sv_profile};
 pub use cones::{ConeCache, StateOverlap};
 pub use counters::{CounterAverages, Counters, PerfCounters};
@@ -178,7 +177,6 @@ pub use procedure::{
     try_simulate_fault_with, DegradeStage, FaultResult, FaultStatus, PartialBound,
 };
 pub use resim::{resimulate, resimulate_metered, ResimVerdict, SequenceOutcome};
-pub use resim_packed::{resimulate_packed, resimulate_packed_metered};
 pub use serve::{Event, JobStatus, Recovery, ServeOptions, ServeStats, Server, Submit};
 pub use shard::{
     merge_shards, partition, run_shard, run_sharded, shard_info, shard_path, MergeOutcome,

@@ -67,13 +67,6 @@ pub struct MoaOptions {
     /// `0 < u < L`, although its condition (C1) admits `u = L`; disabled by
     /// default for faithfulness.
     pub include_final_time_unit: bool,
-    /// Run the implication passes and resimulation restricted to the
-    /// structural cone of influence of the touched state variables, starting
-    /// each frame from cached faulty-machine values (on by default). With
-    /// `false` every engine re-evaluates whole frames in topological order —
-    /// the legacy configuration kept for A/B benchmarking; verdicts are
-    /// identical either way (locked in by parity tests).
-    pub cone_bounded: bool,
     /// Fire statically learned implications (`moa_analyze::ImplicationDb`)
     /// during the implication passes: whenever an assertion or a pass newly
     /// specifies a net, the net's learned implication list is applied (and
@@ -122,7 +115,6 @@ impl MoaOptions {
             backward_time_units: 1,
             packed_resimulation: false,
             include_final_time_unit: false,
-            cone_bounded: true,
             static_learning: false,
             max_frontier_states: None,
             degrade: false,

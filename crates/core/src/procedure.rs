@@ -11,15 +11,15 @@ use moa_sim::{
 use crate::budget::{BudgetMeter, BudgetStage};
 use crate::certificate::DetectionCertificate;
 use crate::chain::FrameCache;
-use crate::collect::{collect_pairs_metered, collect_pairs_with_cache, PairKey};
+use crate::collect::{collect_pairs_with_cache, PairKey};
 use crate::condition::{condition_c_holds, n_out_profile, n_sv_profile};
 use crate::cones::ConeCache;
 use crate::counters::Counters;
 use crate::detect::detection_from_collection;
 use crate::error::Error;
 use crate::expand::{expand_metered, ExpandOutcome};
-use crate::resim::{resimulate_differential_metered, resimulate_metered};
-use crate::resim_packed::{resimulate_packed_differential_metered, resimulate_packed_metered};
+use crate::resim::resimulate_differential_metered;
+use crate::resim_packed::resimulate_packed_differential_metered;
 use crate::MoaOptions;
 
 /// How (or whether) a fault was identified as detected.
@@ -635,22 +635,8 @@ fn run_expansion_stages(
 ) -> (FaultResult, Option<DetectionCertificate>) {
     // Step 1: collection.
     let started = Instant::now();
-    let collection = if options.cone_bounded {
-        collect_pairs_with_cache(circuit, seq, good, n_out, options, cache, Some(cones), meter)
-    } else {
-        // Legacy full-frame engine: a private frame cache, whole-frame
-        // implication passes (it accounts its own frame construction).
-        collect_pairs_metered(
-            circuit,
-            seq,
-            good,
-            cache.faulty(),
-            Some(fault),
-            n_out,
-            options,
-            meter,
-        )
-    };
+    let collection =
+        collect_pairs_with_cache(circuit, seq, good, n_out, options, cache, cones, meter);
     meter.perf.collect_nanos += started.elapsed().as_nanos() as u64;
     if meter.is_exhausted() {
         return (
@@ -714,8 +700,8 @@ fn run_expansion_stages(
     let total = sequences.len();
     let pre_resim = want_certificate.then(|| sequences.clone());
     let started = Instant::now();
-    let verdict = match (options.cone_bounded, options.packed_resimulation) {
-        (true, true) => resimulate_packed_differential_metered(
+    let verdict = if options.packed_resimulation {
+        resimulate_packed_differential_metered(
             circuit,
             seq,
             good,
@@ -724,14 +710,9 @@ fn run_expansion_stages(
             cones,
             &sequences,
             meter,
-        ),
-        (true, false) => {
-            resimulate_differential_metered(circuit, seq, good, Some(fault), cache, sequences, meter)
-        }
-        (false, true) => {
-            resimulate_packed_metered(circuit, seq, good, Some(fault), &sequences, meter)
-        }
-        (false, false) => resimulate_metered(circuit, seq, good, Some(fault), sequences, meter),
+        )
+    } else {
+        resimulate_differential_metered(circuit, seq, good, Some(fault), cache, sequences, meter)
     };
     meter.perf.resim_nanos += started.elapsed().as_nanos() as u64;
     if meter.is_exhausted() {
@@ -903,26 +884,6 @@ mod tests {
         );
         assert!(!result.status.is_detected());
         assert!(certificate.is_none());
-    }
-
-    #[test]
-    fn cone_bounded_and_legacy_engines_agree_on_every_fault() {
-        let (c, seq, good) = toggle();
-        for fault in moa_netlist::full_fault_list(&c) {
-            for packed in [false, true] {
-                let new = MoaOptions {
-                    packed_resimulation: packed,
-                    ..Default::default()
-                };
-                let legacy = MoaOptions {
-                    cone_bounded: false,
-                    ..new.clone()
-                };
-                let a = simulate_fault(&c, &seq, &good, &fault, &new);
-                let b = simulate_fault(&c, &seq, &good, &fault, &legacy);
-                assert_eq!(a, b, "{fault:?} packed={packed}");
-            }
-        }
     }
 
     #[test]

@@ -82,9 +82,9 @@ pub fn resimulate(
 /// Like [`resimulate`], charging one work unit per sequence-frame advanced
 /// against `meter` — every frame up to the one that decides the sequence
 /// counts, whether or not it is marked (only marked frames are *evaluated*;
-/// the uniform unit keeps the accounting identical to
-/// [`crate::resimulate_packed_metered`], which cannot skip unmarked frames
-/// per slot). When the meter exhausts, the remaining sequences are left
+/// the uniform unit keeps the accounting identical to the packed
+/// resimulator, which cannot skip unmarked frames per slot). When the meter
+/// exhausts, the remaining sequences are left
 /// [`SequenceOutcome::Undecided`]; the caller must check
 /// [`BudgetMeter::is_exhausted`] and discard the partial verdict.
 pub fn resimulate_metered(

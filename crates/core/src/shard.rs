@@ -366,10 +366,12 @@ struct SharedInputs {
     shards: usize,
 }
 
-/// Exponential backoff before retry `attempt + 1`, with the shift capped so
-/// large retry counts cannot overflow the multiplier.
-fn backoff_delay(base: Duration, attempt: usize) -> Duration {
-    base.saturating_mul(1u32 << (attempt - 1).min(16))
+/// The delay before retrying after failed attempt `attempt` (1-based):
+/// `base * 2^(attempt-1)`, with the doubling capped at `2^16` so large
+/// retry counts cannot overflow the shift, and the product saturating.
+/// Shared by the in-process shard supervisor and the dispatch lease table.
+pub(crate) fn backoff_delay(base: Duration, attempt: usize) -> Duration {
+    base.saturating_mul(1u32 << attempt.saturating_sub(1).min(16))
 }
 
 /// Copies the best prior state onto this attempt's scratch file so a retry
@@ -776,6 +778,17 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).expect("create temp dir");
         dir
+    }
+
+    #[test]
+    fn backoff_doubles_per_attempt_and_caps_at_two_to_the_sixteenth() {
+        let base = Duration::from_millis(10);
+        assert_eq!(backoff_delay(base, 0), base, "attempt 0 saturates to the base");
+        assert_eq!(backoff_delay(base, 1), base);
+        assert_eq!(backoff_delay(base, 2), base * 2);
+        assert_eq!(backoff_delay(base, 17), base * (1 << 16));
+        assert_eq!(backoff_delay(base, 1000), base * (1 << 16), "the doubling is capped");
+        assert_eq!(backoff_delay(Duration::MAX, 3), Duration::MAX, "the product saturates");
     }
 
     #[test]

@@ -131,7 +131,6 @@ impl JobSpec {
         out.push_str(&format!("opt backward_time_units {}\n", m.backward_time_units));
         out.push_str(&format!("opt packed_resimulation {}\n", m.packed_resimulation));
         out.push_str(&format!("opt include_final_time_unit {}\n", m.include_final_time_unit));
-        out.push_str(&format!("opt cone_bounded {}\n", m.cone_bounded));
         out.push_str(&format!("opt static_learning {}\n", m.static_learning));
         if let Some(states) = m.max_frontier_states {
             out.push_str(&format!("opt max_frontier_states {states}\n"));
@@ -243,7 +242,12 @@ fn apply_option(options: &mut CampaignOptions, key: &str, value: &str) -> Result
         "backward_time_units" => m.backward_time_units = num(key, value)?,
         "packed_resimulation" => m.packed_resimulation = flag(key, value)?,
         "include_final_time_unit" => m.include_final_time_unit = flag(key, value)?,
-        "cone_bounded" => m.cone_bounded = flag(key, value)?,
+        // Retired engine switch: specs written before its removal still
+        // carry the line. It never entered the request hash, so it is
+        // validated and dropped.
+        "cone_bounded" => {
+            flag(key, value)?;
+        }
         "static_learning" => m.static_learning = flag(key, value)?,
         "max_frontier_states" => m.max_frontier_states = Some(num(key, value)?),
         "degrade" => m.degrade = flag(key, value)?,
@@ -625,6 +629,53 @@ mod tests {
         assert_eq!(parsed.options.threads, 3);
         assert_eq!(parsed.hash(), tuned.hash());
         assert_ne!(parsed.hash(), original.hash());
+    }
+
+    #[test]
+    fn spec_with_retired_cone_bounded_line_parses_to_the_same_hash() {
+        // A spec exactly as written before `cone_bounded` was retired, with
+        // both execution-only engine switches flipped from their defaults.
+        let text = concat!(
+            "moa-job-spec v1\n",
+            "bench 69\n",
+            "INPUT(r)\nOUTPUT(z)\nq = DFF(d)\nnq = NOT(q)\nd = AND(r, nq)\nz = BUFF(q)\n",
+            "seq 6\n",
+            "0\n0\n0\n",
+            "faults full\n",
+            "opt n_states 64\n",
+            "opt backward_implications true\n",
+            "opt implication_rounds 1\n",
+            "opt max_implication_runs 4096\n",
+            "opt check_condition_c true\n",
+            "opt backward_time_units 1\n",
+            "opt packed_resimulation true\n",
+            "opt include_final_time_unit false\n",
+            "opt cone_bounded false\n",
+            "opt static_learning false\n",
+            "opt degrade false\n",
+            "opt degrade_adaptive false\n",
+            "opt threads 0\n",
+            "opt differential false\n",
+            "opt screen true\n",
+            "opt prune_untestable false\n",
+            "opt collapse false\n",
+            "opt order natural\n",
+            "opt isolate_panics true\n",
+            "opt worker_retries 2\n",
+            "opt checkpoint_every 64\n",
+            "end\n",
+        );
+        let parsed = JobSpec::parse(text).expect("a pre-retirement spec still parses");
+        assert!(parsed.options.moa.packed_resimulation);
+        // The hash the writing release computed for this request.
+        assert_eq!(parsed.hash().to_string(), "2dfd90ad925f196e1251f7300abb9271");
+        assert_eq!(parsed.hash(), spec().hash(), "engine switches stay out of the hash");
+        assert!(!parsed.to_text().contains("cone_bounded"), "the line is not written back");
+        assert!(
+            JobSpec::parse(&text.replace("opt cone_bounded false", "opt cone_bounded maybe"))
+                .is_err(),
+            "the retired line is still validated"
+        );
     }
 
     #[test]

@@ -114,7 +114,6 @@ proptest! {
         packed in any::<bool>(),
         differential in any::<bool>(),
         screen in any::<bool>(),
-        cone in any::<bool>(),
     ) {
         let c = circuit(seed);
         let seq = random_sequence(&c, 4, seed);
@@ -125,7 +124,6 @@ proptest! {
         tweaked.moa.packed_resimulation = packed;
         tweaked.differential = differential;
         tweaked.screen = screen;
-        tweaked.moa.cone_bounded = cone;
         prop_assert_eq!(base, request_hash(&c, &seq, &faults, &tweaked));
     }
 

@@ -174,6 +174,11 @@ impl<W: Word> PackedV3Values<W> {
 /// `present_state[i]` gives flip-flop `i`'s per-slot dual-rail values.
 /// `fault` is injected in every slot.
 ///
+/// The engines evaluate cones with [`run_packed3_gates`] directly; this
+/// whole-frame driver over [`Circuit::topo_order`] is what the unit and
+/// property tests check slot by slot against the scalar
+/// [`compute_frame`](crate::compute_frame).
+///
 /// # Panics
 ///
 /// Panics if `pattern` or `present_state` have the wrong length.
@@ -283,15 +288,6 @@ pub fn packed3_next_state(
         .collect()
 }
 
-/// Reads the packed primary-output values.
-pub fn packed3_outputs(circuit: &Circuit, values: &Packed3Values) -> Vec<Packed3> {
-    circuit
-        .outputs()
-        .iter()
-        .map(|&net| values.get(net))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,7 +376,7 @@ mod tests {
                 s1.set(slot as u32, vals[j]);
             }
             let packed = run_packed3_frame(&c, &[pa, pb], &[s0, s1], None);
-            let p_out = packed3_outputs(&c, &packed);
+            let p_out: Vec<Packed3> = c.outputs().iter().map(|&net| packed.get(net)).collect();
             let p_next = packed3_next_state(&c, &packed, None);
             for (slot, (i, j)) in (0..3)
                 .flat_map(|i| (0..3).map(move |j| (i, j)))
@@ -417,7 +413,7 @@ mod tests {
             }
             let packed = run_packed3_frame(&c, &[V3::One, V3::X], &[s0, s1], Some(fault));
             let p_next = packed3_next_state(&c, &packed, Some(fault));
-            let p_out = packed3_outputs(&c, &packed);
+            let p_out: Vec<Packed3> = c.outputs().iter().map(|&net| packed.get(net)).collect();
             for slot in 0..9u32 {
                 let st = [vals[(slot % 3) as usize], vals[(slot / 3) as usize]];
                 let frame = compute_frame(&c, &[V3::One, V3::X], &st, Some(fault));
