@@ -3,7 +3,7 @@
 
 use std::io::Write;
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use moa_core::{
     merge_shards, run_shard, run_sharded, shard_path, try_run_campaign, verdict_digest,
@@ -15,8 +15,8 @@ use moa_sim::TestSequence;
 
 use crate::commands::{
     audit_peeled, fault_budget_from_args, fault_order_from_args, moa_options_from_args,
-    screen_lanes_from_args, screen_threads_from_args, sequence_from_args,
-    shard_retries_from_args, shard_timeout_from_args,
+    screen_lanes_from_args, screen_threads_from_args, sequence_from_args, shard_retries_from_args,
+    shards_from_args,
 };
 use crate::{load_circuit, signals, ArgParser, CliError};
 
@@ -24,8 +24,8 @@ const USAGE: &str = "usage: moa campaign <bench-file> [--words p,... | --random 
 [--baseline | --proposed | --both] [--n-states N] [--depth K] [--rounds R] [--budget B] \
 [--threads T] [--deadline-ms MS] [--work-limit W] [--max-frontier N] [--degrade] \
 [--degrade-adaptive] [--checkpoint FILE [--checkpoint-every N] [--resume]] \
-[--shards N [--shard-id K | --merge] [--shard-dir DIR] [--shard-retries R] \
-[--shard-timeout-ms MS]] [--audit[=N]] [--chaos-seed S] [--collapse | --no-collapse] \
+[--shards N [--shard-id K | --merge] [--shard-dir DIR] [--shard-retries R (default 5)]] \
+[--audit[=N]] [--chaos-seed S] [--collapse | --no-collapse] \
 [--order natural|scoap-hard-first|scoap-cheap-first|cone-cluster] [--packed] \
 [--differential] [--no-screen] [--screen-lanes 64|128|256] [--screen-threads T] [--learn] \
 [--prune-untestable] [--verbose]";
@@ -41,7 +41,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             "words", "random", "seed", "seq-file", "n-states", "depth", "rounds", "budget",
             "threads", "deadline-ms", "work-limit", "max-frontier", "checkpoint",
             "checkpoint-every", "chaos-seed", "shards", "shard-id", "shard-dir", "shard-retries",
-            "shard-timeout-ms", "screen-lanes", "screen-threads", "order",
+            "screen-lanes", "screen-threads", "order",
         ],
         &[
             "baseline", "proposed", "both", "collapse", "no-collapse", "packed", "differential",
@@ -103,12 +103,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         )));
     }
 
-    let shards: Option<usize> = match parser.flag("shards") {
-        None => None,
-        Some(n) => Some(n.parse().map_err(|_| {
-            CliError::Usage(format!("--shards expects a number, got `{n}`"))
-        })?),
-    };
+    let shards = shards_from_args(&parser)?;
     let shard_id: Option<usize> = match parser.flag("shard-id") {
         None => None,
         Some(n) => Some(n.parse().map_err(|_| {
@@ -120,12 +115,10 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         && (shard_id.is_some()
             || merge_only
             || parser.flag("shard-dir").is_some()
-            || parser.flag("shard-retries").is_some()
-            || parser.flag("shard-timeout-ms").is_some())
+            || parser.flag("shard-retries").is_some())
     {
         return Err(CliError::Usage(format!(
-            "--shard-id/--merge/--shard-dir/--shard-retries/--shard-timeout-ms need \
-             --shards N\n\n{USAGE}"
+            "--shard-id/--merge/--shard-dir/--shard-retries need --shards N\n\n{USAGE}"
         )));
     }
     if shard_id.is_some() && merge_only {
@@ -141,8 +134,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let shard_dir = parser
         .flag("shard-dir")
         .map_or_else(|| PathBuf::from("moa-shards"), PathBuf::from);
-    let shard_retries = shard_retries_from_args(&parser, 6)?;
-    let shard_timeout = shard_timeout_from_args(&parser)?;
 
     writeln!(
         out,
@@ -219,13 +210,12 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             cancel: Some(signals::cancel_flag()),
             ..CampaignOptions::default()
         };
+        let mut options = ShardOptions::new(shards, shard_dir);
+        options.retries = shard_retries_from_args(&parser, options.retries)?;
         let sharding = Sharding {
-            shards,
             shard_id,
             merge_only,
-            dir: shard_dir,
-            retries: shard_retries,
-            timeout: shard_timeout,
+            options,
         };
         run_sharded_campaign(out, label, &circuit, &seq, &faults, &opts, &sharding)?;
     } else {
@@ -375,12 +365,9 @@ fn chaos_armed() -> bool {
 
 /// How `--shards` and its companions partition the work.
 struct Sharding {
-    shards: usize,
     shard_id: Option<usize>,
     merge_only: bool,
-    dir: PathBuf,
-    retries: usize,
-    timeout: Option<Duration>,
+    options: ShardOptions,
 }
 
 /// The sharded flow: one shard (`--shard-id`), merge-only (`--merge`), or
@@ -396,6 +383,7 @@ fn run_sharded_campaign(
     sharding: &Sharding,
 ) -> Result<(), CliError> {
     let failed = |e: moa_core::Error| CliError::Failed(e.to_string());
+    let ShardOptions { shards, dir, .. } = &sharding.options;
     let interrupted = |out: &mut dyn Write, completed: usize, total: usize| -> Result<(), CliError> {
         writeln!(
             out,
@@ -404,14 +392,13 @@ fn run_sharded_campaign(
         writeln!(
             out,
             "  finished work is checkpointed under `{}`; re-run the same command to resume",
-            sharding.dir.display()
+            dir.display()
         )?;
         Ok(())
     };
     if let Some(id) = sharding.shard_id {
         let start = Instant::now();
-        let result = match run_shard(circuit, seq, faults, opts, sharding.shards, id, &sharding.dir)
-        {
+        let result = match run_shard(circuit, seq, faults, opts, *shards, id, dir) {
             Ok(result) => result,
             Err(moa_core::Error::Interrupted { completed, total }) => {
                 return interrupted(out, completed, total);
@@ -420,9 +407,8 @@ fn run_sharded_campaign(
         };
         writeln!(
             out,
-            "\n{label}, shard {id} of {} -> {} ({:.2?}):",
-            sharding.shards,
-            shard_path(&sharding.dir, id).display(),
+            "\n{label}, shard {id} of {shards} -> {} ({:.2?}):",
+            shard_path(dir, id).display(),
             start.elapsed()
         )?;
         print_summary(out, &result)?;
@@ -432,9 +418,7 @@ fn run_sharded_campaign(
     let files: Vec<PathBuf>;
     let mut retries_used = 0;
     if sharding.merge_only {
-        files = (0..sharding.shards)
-            .map(|id| shard_path(&sharding.dir, id))
-            .collect();
+        files = (0..*shards).map(|id| shard_path(dir, id)).collect();
         // A wrong --shard-dir (or shards never run) should say where it
         // looked, not let the merge fail on an opaque missing file. Partial
         // sets fall through: the merge's own error locates the gap exactly.
@@ -442,19 +426,14 @@ fn run_sharded_campaign(
             return Err(CliError::Failed(format!(
                 "--merge found no shard files in `{}` (expected {} file(s) like `{}`); \
                  run the shards first or check --shard-dir",
-                sharding.dir.display(),
-                sharding.shards,
-                shard_path(&sharding.dir, 0).display()
+                dir.display(),
+                shards,
+                shard_path(dir, 0).display()
             )));
         }
     } else {
-        let shard_opts = ShardOptions {
-            timeout: sharding.timeout,
-            retries: sharding.retries,
-            ..ShardOptions::new(sharding.shards, sharding.dir.clone())
-        };
         let start = Instant::now();
-        let run = match run_sharded(circuit, seq, faults, opts, &shard_opts) {
+        let run = match run_sharded(circuit, seq, faults, opts, &sharding.options) {
             Ok(run) => run,
             Err(moa_core::Error::Interrupted { completed, total }) => {
                 return interrupted(out, completed, total);
@@ -463,9 +442,8 @@ fn run_sharded_campaign(
         };
         writeln!(
             out,
-            "\nsupervised {} shard(s) into {} ({:.2?}, {} retried attempt(s))",
-            sharding.shards,
-            sharding.dir.display(),
+            "\nsupervised {shards} shard(s) into {} ({:.2?}, {} retried attempt(s))",
+            dir.display(),
             start.elapsed(),
             run.retries_used
         )?;
@@ -621,9 +599,6 @@ fn print_summary(out: &mut dyn Write, r: &CampaignResult) -> Result<(), CliError
             "    certificates      : {} audited (inherited detections replayed)",
             c.audited
         )?;
-    }
-    if r.perf.worker_respawns > 0 {
-        writeln!(out, "  worker respawns     : {}", r.perf.worker_respawns)?;
     }
     for skip in &r.resume_skipped {
         writeln!(
@@ -1037,22 +1012,34 @@ mod tests {
     }
 
     #[test]
-    fn zero_shard_retries_and_zero_timeout_are_rejected_with_reasons() {
-        for extra in [["--shard-retries", "0"], ["--shard-timeout-ms", "0"]] {
+    fn zero_shards_and_zero_shard_retries_are_rejected_with_reasons() {
+        for extra in [
+            &["--shards", "2", "--shard-retries", "0"][..],
+            &["--shards", "0"],
+            &["--shards", "0", "--shard-id", "0"],
+            &["--shards", "0", "--merge"],
+        ] {
             let mut args = vec![
                 toggle_path(),
                 "--words".into(),
                 "0,0,0".into(),
                 "--proposed".into(),
-                "--shards".into(),
-                "2".into(),
             ];
             args.extend(extra.iter().map(std::string::ToString::to_string));
             let mut out = Vec::new();
             let err = run(&args, &mut out).unwrap_err();
             assert!(matches!(err, CliError::Usage(_)), "{extra:?}: {err}");
-            assert!(err.to_string().contains("at least 1"), "{extra:?}: {err}");
+            assert!(err.to_string().contains("must be at least 1"), "{extra:?}: {err}");
         }
+    }
+
+    #[test]
+    fn usage_states_the_library_retry_default() {
+        let default = ShardOptions::new(1, "shards").retries;
+        assert!(
+            USAGE.contains(&format!("[--shard-retries R (default {default})]")),
+            "{USAGE}"
+        );
     }
 
     #[test]

@@ -143,6 +143,23 @@ pub(crate) fn fault_budget_from_args(parser: &ArgParser) -> Result<FaultBudget, 
     Ok(budget)
 }
 
+/// `--shards N`, rejecting 0: a partition into zero shards has no shard
+/// to simulate any fault in.
+pub(crate) fn shards_from_args(parser: &ArgParser) -> Result<Option<usize>, CliError> {
+    if parser.flag("shards").is_none() {
+        return Ok(None);
+    }
+    let shards = parser.num("shards", 0usize)?;
+    if shards == 0 {
+        return Err(CliError::Usage(
+            "--shards must be at least 1: a partition into zero shards leaves every \
+             fault without a shard to run in"
+                .into(),
+        ));
+    }
+    Ok(Some(shards))
+}
+
 /// `--shard-retries`, rejecting 0: retries below one would quarantine a
 /// shard on its first transient hiccup, which is never what an operator
 /// wants from a crash-safety flag.
@@ -154,8 +171,8 @@ pub(crate) fn shard_retries_from_args(
     if retries == 0 {
         return Err(CliError::Usage(
             "--shard-retries must be at least 1: with 0 retries a single transient \
-             failure (timeout, injected fault, OOM kill) would quarantine the shard \
-             instead of re-running it"
+             failure (injected fault, OOM kill) would quarantine the shard instead \
+             of re-running it"
                 .into(),
         ));
     }
@@ -212,27 +229,5 @@ pub(crate) fn fault_order_from_args(parser: &ArgParser) -> Result<FaultOrder, Cl
                  cone-cluster, got `{s}`"
             ))
         }),
-    }
-}
-
-/// `--shard-timeout-ms`, rejecting 0: a zero timeout would kill every
-/// shard attempt at birth. Omitting the flag means no timeout.
-pub(crate) fn shard_timeout_from_args(parser: &ArgParser) -> Result<Option<Duration>, CliError> {
-    match parser.flag("shard-timeout-ms") {
-        None => Ok(None),
-        Some(ms) => {
-            let ms: u64 = ms.parse().map_err(|_| {
-                CliError::Usage(format!("--shard-timeout-ms expects a number, got `{ms}`"))
-            })?;
-            if ms == 0 {
-                return Err(CliError::Usage(
-                    "--shard-timeout-ms must be at least 1: a zero timeout would kill \
-                     every shard attempt immediately; omit the flag to run without a \
-                     timeout"
-                        .into(),
-                ));
-            }
-            Ok(Some(Duration::from_millis(ms)))
-        }
     }
 }

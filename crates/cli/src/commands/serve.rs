@@ -64,14 +64,14 @@ use moa_netlist::write_bench;
 
 use crate::commands::{
     audit_peeled, fault_budget_from_args, moa_options_from_args, sequence_from_args,
-    shard_retries_from_args, shard_timeout_from_args,
+    shards_from_args,
 };
 use crate::jsonx::{hex_decode, Json};
 use crate::{load_circuit, signals, ArgParser, CliError};
 
 const SERVE_USAGE: &str = "usage: moa serve --spool DIR [--addr HOST:PORT] [--workers N] \
-[--queue-depth N] [--job-attempts N] [--shards N] [--shard-retries R] [--shard-timeout-ms MS] \
-[--retry-after-ms MS] [--dispatch [--lease-ms MS] [--heartbeat-ms MS] [--dispatch-attempts N]]";
+[--queue-depth N] [--job-attempts N] [--shards N] [--retry-after-ms MS] \
+[--dispatch [--lease-ms MS] [--heartbeat-ms MS] [--dispatch-attempts N]]";
 
 const SUBMIT_USAGE: &str = "usage: moa submit <bench-file> [--addr HOST:PORT | --spool DIR] \
 [--words p,... | --random L [--seed S] | --seq-file F] [--wait] [--n-states N] [--depth K] \
@@ -98,8 +98,6 @@ pub fn run_serve(args: &[String], out: &mut dyn std::io::Write) -> Result<(), Cl
             "queue-depth",
             "job-attempts",
             "shards",
-            "shard-retries",
-            "shard-timeout-ms",
             "retry-after-ms",
             "lease-ms",
             "heartbeat-ms",
@@ -114,9 +112,7 @@ pub fn run_serve(args: &[String], out: &mut dyn std::io::Write) -> Result<(), Cl
     options.queue_depth = parser.num("queue-depth", options.queue_depth)?;
     options.workers = parser.num("workers", options.workers)?;
     options.job_attempts = parser.num("job-attempts", options.job_attempts)?;
-    options.shards = parser.num("shards", options.shards)?;
-    options.shard_retries = shard_retries_from_args(&parser, options.shard_retries)?;
-    options.shard_timeout = shard_timeout_from_args(&parser)?;
+    options.shards = shards_from_args(&parser)?.unwrap_or(options.shards);
     options.retry_after_ms = parser.num("retry-after-ms", options.retry_after_ms)?;
     options.dispatch = dispatch_options_from_args(&parser)?;
     let bind_addr = parser.flag("addr").unwrap_or("127.0.0.1:0").to_owned();
@@ -1379,18 +1375,22 @@ mod tests {
         assert!(matches!(err, CliError::Usage(_)), "{err}");
         assert!(err.to_string().contains("--spool"), "{err}");
 
-        for (flag, value) in [("--shard-retries", "0"), ("--shard-timeout-ms", "0")] {
+        for dispatch in [false, true] {
             let dir = temp_spool("flags");
-            let args: Vec<String> = vec![
+            let mut args: Vec<String> = vec![
                 "--spool".into(),
                 dir.to_string_lossy().into_owned(),
-                flag.into(),
-                value.into(),
+                "--shards".into(),
+                "0".into(),
             ];
+            if dispatch {
+                args.push("--dispatch".into());
+            }
             let mut out = Vec::new();
             let err = run_serve(&args, &mut out).unwrap_err();
-            assert!(matches!(err, CliError::Usage(_)), "{flag}: {err}");
-            assert!(err.to_string().contains("at least 1"), "{flag}: {err}");
+            assert!(matches!(err, CliError::Usage(_)), "dispatch={dispatch}: {err}");
+            assert!(err.to_string().contains("--shards must be at least 1"), "{err}");
+            assert!(!dir.exists(), "refused before the spool is created");
         }
     }
 

@@ -4,7 +4,7 @@
 //! The worker is deliberately dumb: it holds no campaign state of its own.
 //! It pulls one shard assignment at a time over the newline-JSON protocol,
 //! runs it with the same resumable [`run_shard`](moa_core::run_shard) engine
-//! the in-process supervisor uses, and streams the finished checkpoint-v2
+//! the daemon's in-process shards use, and streams the finished checkpoint-v2
 //! shard file back content-addressed by the job's canonical hash. Everything
 //! that makes the system exactly-once — leases, attempt budgets, strict
 //! upload validation, the tiling audit at merge — lives in the daemon.

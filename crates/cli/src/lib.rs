@@ -91,14 +91,14 @@ COMMANDS:          (<bench> is a .bench file path, or suite:NAME for an embedded
               [--learn] [--prune-untestable]   static learning / untestability pruning
               [--degrade] [--degrade-adaptive]   budget-trip degradation ladder
               [--shards N [--shard-id K | --merge] [--shard-dir DIR]
-               [--shard-retries R] [--shard-timeout-ms MS]]   crash-safe sharded campaign
+               [--shard-retries R]]         crash-safe sharded campaign
     tpg       <bench> [--max-length L] [--seed S] [--compact]  deterministic test generation
     exact     <bench> [--random L] [--seed S]    exhaustive restricted-MOA check (small circuits)
     explain   <bench> --fault NET/saX            per-fault pipeline trace
     extract   <bench> --nets NAME[,NAME...]      cut a fan-in cone to a new bench file
     gen       --inputs N --outputs N --ffs N --gates N [--seed S] [-o FILE]
     serve     --spool DIR [--addr HOST:PORT] [--workers N] [--queue-depth N]
-              [--job-attempts N] [--shards N] [--shard-retries R] [--shard-timeout-ms MS]
+              [--job-attempts N] [--shards N] [--retry-after-ms MS]
               [--dispatch [--lease-ms MS] [--heartbeat-ms MS] [--dispatch-attempts N]]
               campaign daemon: bounded admission, dedupe cache, poison quarantine,
               crash recovery from the spool; first SIGINT/SIGTERM drains gracefully;

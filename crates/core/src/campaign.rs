@@ -11,7 +11,8 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use moa_netlist::{Circuit, Fault};
@@ -229,14 +230,6 @@ pub struct CampaignOptions {
     /// [`FaultStatus::Faulted`] instead of crashing the campaign. On by
     /// default; turn off to let a panic propagate (e.g. to debug it).
     pub isolate_panics: bool,
-    /// Respawn a worker thread that dies (fails to spawn, or panics outside
-    /// per-fault isolation) up to this many times per work chunk, with a
-    /// short backoff between attempts. Faults already completed by the dead
-    /// worker are never re-simulated. After the retries are exhausted the
-    /// remaining faults of the chunk run inline on the coordinating thread,
-    /// so no fault is ever lost. Respawns are counted in
-    /// [`CampaignResult::perf`](PerfCounters::worker_respawns).
-    pub worker_retries: usize,
     /// Write a checkpoint of completed per-fault results to this file every
     /// [`checkpoint_every`](Self::checkpoint_every) faults (and after the
     /// final batch). `None` disables checkpointing.
@@ -284,7 +277,6 @@ impl std::fmt::Debug for CampaignOptions {
             .field("order", &self.order)
             .field("budget", &self.budget)
             .field("isolate_panics", &self.isolate_panics)
-            .field("worker_retries", &self.worker_retries)
             .field("checkpoint", &self.checkpoint)
             .field("checkpoint_every", &self.checkpoint_every)
             .field("resume", &self.resume)
@@ -313,7 +305,6 @@ impl Default for CampaignOptions {
             order: FaultOrder::Natural,
             budget: FaultBudget::none(),
             isolate_panics: true,
-            worker_retries: 2,
             checkpoint: None,
             checkpoint_every: 64,
             resume: false,
@@ -1081,106 +1072,42 @@ fn run_batch(
         return;
     }
 
-    // Results live in per-fault `Mutex<Option<..>>` cells so a replacement
-    // worker can see (and skip) the faults its dead predecessor already
-    // finished: across any number of respawns each fault is simulated
-    // exactly once.
-    let cells: Vec<std::sync::Mutex<Option<(FaultResult, PerfCounters)>>> =
-        (0..batch.len()).map(|_| std::sync::Mutex::new(None)).collect();
-    let chunk = batch.len().div_ceil(threads);
-    let mut respawns: u64 = 0;
+    // A pull pool: workers claim batch positions from a shared cursor and
+    // fill that position's result cell. A worker that dies (a panic outside
+    // per-fault isolation) or never spawns just stops claiming; the
+    // coordinating thread then fills every cell left empty — so each fault
+    // is simulated once, and none is lost to a dying worker. This fill does
+    // not hit the worker failpoints: it is the last-resort guarantee. The
+    // cursor only hands out positions (each claimed once); results reach
+    // the coordinating thread through the cells and the joins, so `Relaxed`
+    // suffices.
+    let cells: Vec<OnceLock<(FaultResult, PerfCounters)>> =
+        (0..batch.len()).map(|_| OnceLock::new()).collect();
+    let cursor = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        // A work unit is one chunk of the batch plus its retry count. A
-        // worker that fails to spawn or dies mid-chunk puts its unit back on
-        // the queue (with backoff) until the retries run out, after which
-        // the coordinating thread finishes the chunk inline — no fault is
-        // ever lost to a dying worker.
-        let mut queue: Vec<(usize, &[usize], usize)> = batch
-            .chunks(chunk)
-            .enumerate()
-            .map(|(k, indices)| (k * chunk, indices, 0))
-            .collect();
-        while !queue.is_empty() {
-            let mut round = Vec::with_capacity(queue.len());
-            for (offset, indices, attempt) in queue.drain(..) {
-                if attempt > 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(2 * attempt as u64));
-                }
-                let cells = &cells;
-                let worker = move || {
-                    for (k, &index) in indices.iter().enumerate() {
-                        let cell = &cells[offset + k];
-                        let done = cell
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .is_some();
-                        if done {
-                            continue;
-                        }
-                        fail_hit!("fp/campaign.worker.run");
-                        let result = run_one(index);
-                        *cell.lock().unwrap_or_else(std::sync::PoisonError::into_inner) =
-                            Some(result);
-                    }
-                };
-                let refused = {
-                    #[cfg(feature = "failpoints")]
-                    {
-                        crate::failpoint::fires_error("fp/campaign.worker.spawn")
-                    }
-                    #[cfg(not(feature = "failpoints"))]
-                    {
-                        false
-                    }
-                };
-                let handle = if refused {
-                    None
-                } else {
-                    std::thread::Builder::new().spawn_scoped(scope, worker).ok()
-                };
-                round.push((offset, indices, attempt, handle));
+        let worker = || loop {
+            let k = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(&index) = batch.get(k) else { break };
+            fail_hit!("fp/campaign.worker.run");
+            let _ = cells[k].set(run_one(index));
+        };
+        let mut handles = Vec::with_capacity(threads);
+        for _ in 0..threads {
+            #[cfg(feature = "failpoints")]
+            if crate::failpoint::fires_error("fp/campaign.worker.spawn") {
+                continue;
             }
-            for (offset, indices, attempt, handle) in round {
-                let died = match handle {
-                    Some(h) => h.join().is_err(),
-                    None => true,
-                };
-                if !died {
-                    continue;
-                }
-                if attempt < options.worker_retries {
-                    respawns += 1;
-                    queue.push((offset, indices, attempt + 1));
-                } else {
-                    // Retries exhausted: finish the chunk inline. This path
-                    // does not hit the worker failpoints — it is the
-                    // last-resort guarantee that every fault completes.
-                    for (k, &index) in indices.iter().enumerate() {
-                        let cell = &cells[offset + k];
-                        let done = cell
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .is_some();
-                        if done {
-                            continue;
-                        }
-                        let result = run_one(index);
-                        *cell.lock().unwrap_or_else(std::sync::PoisonError::into_inner) =
-                            Some(result);
-                    }
-                }
-            }
+            handles.extend(std::thread::Builder::new().spawn_scoped(scope, worker).ok());
+        }
+        for handle in handles {
+            // A dead worker's unfinished cells are filled below.
+            let _ = handle.join();
         }
     });
-    perf.worker_respawns += respawns;
     for (cell, &index) in cells.into_iter().zip(batch) {
-        let result = cell
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some((fault_result, fault_perf)) = result {
-            *perf += fault_perf;
-            slots[index] = Some(fault_result);
-        }
+        let (fault_result, fault_perf) = cell.into_inner().unwrap_or_else(|| run_one(index));
+        *perf += fault_perf;
+        slots[index] = Some(fault_result);
     }
 }
 
@@ -1970,7 +1897,7 @@ mod tests {
 
     #[cfg(feature = "failpoints")]
     #[test]
-    fn dying_workers_are_respawned_and_no_fault_is_lost() {
+    fn dying_and_unspawned_workers_lose_no_fault() {
         use crate::failpoint::{self, ChaosSchedule, FailAction, SitePlan};
         let _serial = failpoint::test_lock();
         failpoint::clear();
@@ -1999,7 +1926,6 @@ mod tests {
         let combos = failpoint::fired_combos();
         failpoint::clear();
         assert_eq!(clean, chaotic, "worker deaths must not change any verdict");
-        assert!(chaotic.perf.worker_respawns >= 4, "{:?}", chaotic.perf);
         assert_eq!(combos.len(), 2, "{combos:?}");
     }
 

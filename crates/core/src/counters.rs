@@ -100,9 +100,6 @@ pub struct PerfCounters {
     /// bounding it is
     /// [`MoaOptions::max_frontier_states`](crate::MoaOptions::max_frontier_states).
     pub max_frontier: u64,
-    /// Campaign workers respawned after dying outside per-fault panic
-    /// isolation (see `CampaignOptions::worker_retries`).
-    pub worker_respawns: u64,
     /// Shard attempts retried by the supervisor of a sharded campaign
     /// ([`run_sharded`](crate::run_sharded)); zero for unsharded runs.
     pub shard_retries: u64,
@@ -125,7 +122,6 @@ impl AddAssign for PerfCounters {
         self.resim_nanos += rhs.resim_nanos;
         self.learned_hits += rhs.learned_hits;
         self.max_frontier = self.max_frontier.max(rhs.max_frontier);
-        self.worker_respawns += rhs.worker_respawns;
         self.shard_retries += rhs.shard_retries;
     }
 }
@@ -148,9 +144,6 @@ impl fmt::Display for PerfCounters {
         }
         if self.max_frontier > 0 {
             write!(f, " max frontier={}", self.max_frontier)?;
-        }
-        if self.worker_respawns > 0 {
-            write!(f, " worker respawns={}", self.worker_respawns)?;
         }
         if self.shard_retries > 0 {
             write!(f, " shard retries={}", self.shard_retries)?;
@@ -269,7 +262,6 @@ mod tests {
             resim_nanos: 4,
             learned_hits: 6,
             max_frontier: 16,
-            worker_respawns: 1,
             shard_retries: 3,
         };
         p += p;
@@ -277,12 +269,10 @@ mod tests {
         assert_eq!(p.resim_nanos, 8);
         assert_eq!(p.learned_hits, 12);
         assert_eq!(p.max_frontier, 16, "high-water mark merges by max");
-        assert_eq!(p.worker_respawns, 2);
         assert_eq!(p.shard_retries, 6);
         assert!(p.to_string().contains("gate evals=10"));
         assert!(p.to_string().contains("learned hits=12"));
         assert!(p.to_string().contains("max frontier=16"));
-        assert!(p.to_string().contains("worker respawns=2"));
         assert!(p.to_string().contains("shard retries=6"));
         assert!(!PerfCounters::new().to_string().contains("learned"));
         assert!(!PerfCounters::new().to_string().contains("frontier"));

@@ -1,20 +1,25 @@
-//! Lease-based dispatch of shard work to out-of-process workers.
+//! The shard lease table: the one supervisor of sharded work.
 //!
-//! The daemon partitions each job into shards exactly as the in-process
-//! path does ([`partition`](crate::partition)); this module hands those
-//! shards to remote workers with **at-least-once** delivery and turns their
-//! results into **exactly-once** merges:
+//! Every sharded run partitions its fault list exactly as
+//! [`partition`](crate::partition) does, and this module supervises the
+//! shards — whether they run in remote `moa work` processes or on the
+//! calling thread ([`run_sharded`](crate::run_sharded), the daemon without
+//! `--dispatch`). Delivery is **at-least-once** and merges are
+//! **exactly-once**:
 //!
-//! - **Leases.** An assignment carries a lease duration and a heartbeat
-//!   interval. A worker that keeps heartbeating keeps its lease; a worker
-//!   that dies (or partitions away) lets the lease expire, and the shard is
-//!   re-dispatched — after an exponential backoff — to the next worker that
-//!   asks.
+//! - **Leases.** A remote assignment carries a lease duration and a
+//!   heartbeat interval. A worker that keeps heartbeating keeps its lease; a
+//!   worker that dies (or partitions away) lets the lease expire, and the
+//!   shard is re-dispatched — after an exponential backoff — to the next
+//!   worker that asks. An in-process lease has no deadline: its holder is
+//!   the calling thread, which always reports back, and a panic there is
+//!   caught and reported as a failed attempt.
 //! - **Attempt budgets.** Each lease grant counts against a per-shard
-//!   budget. A shard that crash-loops every worker it touches is
-//!   *quarantined* with a structured reason — reported, never dropped — and
-//!   the job attempt fails the same way an in-process quarantined shard
-//!   does, feeding the daemon's job-level poison ladder.
+//!   budget. A failed attempt (a reported error, a panic, a rejected
+//!   result, an expired lease) requeues the shard after its backoff; a shard
+//!   that keeps failing is *quarantined* with a structured reason —
+//!   reported, never dropped — and the job attempt fails, feeding the
+//!   daemon's job-level poison ladder.
 //! - **First valid result wins.** A completion is validated (strict
 //!   [`read_shard`], header and geometry match) *before* it is accepted,
 //!   then published atomically to the canonical shard path. A late
@@ -23,22 +28,27 @@
 //!   ([`merge_shards`](crate::merge_shards)) still proves
 //!   exactly-one-record-per-fault, so duplicated *delivery* can never
 //!   become duplicated *results*.
-//! - **Daemon-restart adoption.** [`Dispatcher::register_job`] re-reads the
+//! - **Restart adoption.** [`Dispatcher::register_job`] re-reads the
 //!   canonical shard files already on disk and marks the valid ones
 //!   completed, so a daemon crash loses at most the leases, not the work.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::{Path, PathBuf};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use moa_netlist::full_fault_list;
+use moa_netlist::{Circuit, Fault};
+use moa_sim::TestSequence;
 
+use crate::campaign::{panic_message, CampaignOptions};
 use crate::canon::CanonHash;
 use crate::checkpoint::{read_shard, CheckpointHeader};
 use crate::error::Error;
-use crate::shard::{backoff_delay, shard_info, shard_path, ShardFailure};
-use crate::spool::Spool;
+use crate::shard::{partition, run_shard, shard_info, shard_path, ShardFailure};
+
+/// The worker id of in-process leases (it appears in quarantine reasons).
+const IN_PROCESS: &str = "in-process";
 
 /// Dispatch policy knobs.
 #[derive(Debug, Clone)]
@@ -141,13 +151,6 @@ pub enum JobOutcome {
     /// At least one shard exhausted its attempt budget. Completed shards
     /// keep their published files; the failures are reported, not dropped.
     Quarantined(Vec<ShardFailure>),
-    /// The wait's cancel probe tripped (daemon drain).
-    Cancelled {
-        /// Faults covered by shards already completed.
-        completed: usize,
-        /// Total faults in the job.
-        total: usize,
-    },
 }
 
 /// Aggregate dispatch-table counts for `moa status`.
@@ -168,8 +171,12 @@ pub struct DispatchStats {
 enum UnitState {
     /// Runnable once `not_before` passes (backoff after a failure).
     Pending { not_before: Instant },
-    /// Leased to `worker` until `deadline` (heartbeats push it out).
-    Leased { worker: String, deadline: Instant },
+    /// Leased to `worker`. A remote lease expires at `deadline` unless
+    /// heartbeats push it out; an in-process lease has no deadline.
+    Leased {
+        worker: String,
+        deadline: Option<Instant>,
+    },
     /// The canonical shard file is published.
     Completed,
     /// Attempt budget exhausted.
@@ -189,28 +196,51 @@ struct JobTable {
     units: Vec<Unit>,
 }
 
+impl JobTable {
+    /// Faults covered by the completed shards.
+    fn completed_faults(&self) -> usize {
+        partition(self.header.total_faults, self.units.len())
+            .into_iter()
+            .zip(&self.units)
+            .filter(|(_, unit)| matches!(unit.state, UnitState::Completed))
+            .map(|(range, _)| range.len())
+            .sum()
+    }
+}
+
 struct DispatchInner {
     jobs: BTreeMap<CanonHash, JobTable>,
     draining: bool,
 }
 
-/// The dispatch table: shard leases, heartbeats, re-dispatch, completion
-/// validation. Shared between the daemon's job workers (which register and
-/// wait) and its connection handlers (which lease, heartbeat and complete
-/// on behalf of remote workers).
+/// The in-process driver's next move for its job.
+enum Step {
+    /// Run `shard`, now leased to the calling thread; `attempt` is the
+    /// shard's lease grant count.
+    Run { shard: usize, attempt: u32 },
+    /// Every unfinished shard is backing off; the first becomes runnable
+    /// at this instant.
+    Sleep(Instant),
+    /// No shard is pending: every one is completed or quarantined.
+    Finished,
+}
+
+/// The shard lease table: leases, heartbeats, re-dispatch, completion
+/// validation, backoff and quarantine. Shared between the daemon's job
+/// workers (which register, drive in-process shards, and wait) and its
+/// connection handlers (which lease, heartbeat and complete on behalf of
+/// remote workers).
 pub struct Dispatcher {
     inner: Mutex<DispatchInner>,
     /// Signalled on every completion/quarantine/drain so `wait_job` wakes.
     progress: Condvar,
-    spool: Spool,
     shards: usize,
     options: DispatchOptions,
 }
 
 impl Dispatcher {
-    /// Builds a dispatcher over `spool`, partitioning every job into
-    /// `shards` shards.
-    pub fn new(spool: Spool, shards: usize, options: DispatchOptions) -> Result<Dispatcher, Error> {
+    /// Builds a dispatcher partitioning every job into `shards` shards.
+    pub fn new(shards: usize, options: DispatchOptions) -> Result<Dispatcher, Error> {
         if shards == 0 {
             return Err(Error::Dispatch {
                 message: "shard count must be at least 1".into(),
@@ -236,7 +266,6 @@ impl Dispatcher {
                 draining: false,
             }),
             progress: Condvar::new(),
-            spool,
             shards,
             options,
         })
@@ -247,26 +276,26 @@ impl Dispatcher {
         &self.options
     }
 
-    fn lock(&self) -> Result<MutexGuard<'_, DispatchInner>, Error> {
-        self.inner.lock().map_err(|_| Error::Dispatch {
-            message: "dispatch table poisoned by a panicking thread".into(),
-        })
+    /// Every critical section leaves the table consistent (each state change
+    /// is a single assignment), so a lock poisoned by an unrelated panic
+    /// still guards sound data.
+    fn lock(&self) -> MutexGuard<'_, DispatchInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Registers (or re-registers) a spooled job for dispatch. Idempotent:
-    /// a job already in the table keeps its state. Canonical shard files
-    /// already on disk that strictly validate against the job's identity
-    /// are adopted as completed — a restarted daemon re-leases only the
-    /// missing shards.
-    pub fn register_job(&self, hash: CanonHash) -> Result<(), Error> {
-        let spec = self.spool.load_spec(hash)?;
-        let total_faults = full_fault_list(&spec.circuit).len();
-        let header = CheckpointHeader {
-            circuit: spec.circuit.name().to_owned(),
-            total_faults,
-            seq_len: spec.seq.len(),
-        };
-        let dir = self.spool.shards_dir(hash);
+    /// Registers (or re-registers) a job whose shard files live in `dir`
+    /// and carry the campaign identity `header`. `spec` is the job-spec text
+    /// handed to remote workers with each assignment. Idempotent: a job
+    /// already in the table keeps its state. Canonical shard files already
+    /// on disk that strictly validate against `header` are adopted as
+    /// completed — a restarted daemon re-leases only the missing shards.
+    pub fn register_job(
+        &self,
+        hash: CanonHash,
+        header: CheckpointHeader,
+        dir: PathBuf,
+        spec: String,
+    ) -> Result<(), Error> {
         std::fs::create_dir_all(&dir).map_err(|e| Error::Dispatch {
             message: format!("cannot create shard directory {}: {e}", dir.display()),
         })?;
@@ -281,33 +310,31 @@ impl Dispatcher {
                 attempts: 0,
             })
             .collect();
-        let mut inner = self.lock()?;
-        inner.jobs.entry(hash).or_insert(JobTable {
-            spec_text: spec.to_text(),
+        self.lock().jobs.entry(hash).or_insert(JobTable {
+            spec_text: spec,
             header,
             dir,
             units,
         });
-        drop(inner);
         self.progress.notify_all();
         Ok(())
     }
 
-    /// Removes a job from the table (after its merge, or on cancellation).
-    /// Outstanding leases die with it: the holders' next heartbeat answers
+    /// Removes a job from the table (after its attempt ends). Outstanding
+    /// leases die with it: the holders' next heartbeat answers
     /// [`Heartbeat::Lost`] and they abandon the shard.
     pub fn forget_job(&self, hash: CanonHash) -> Result<(), Error> {
-        self.lock()?.jobs.remove(&hash);
+        self.lock().jobs.remove(&hash);
         self.progress.notify_all();
         Ok(())
     }
 
-    /// Stops handing out work: every subsequent [`lease`](Self::lease)
-    /// answers [`Lease::Draining`] and every heartbeat answers
-    /// [`Heartbeat::Lost`], so remote workers checkpoint and disconnect at
-    /// their next probe.
+    /// Stops handing out remote work: every subsequent
+    /// [`lease`](Self::lease) answers [`Lease::Draining`] and every
+    /// heartbeat answers [`Heartbeat::Lost`], so remote workers checkpoint
+    /// and disconnect at their next probe.
     pub fn drain(&self) -> Result<(), Error> {
-        self.lock()?.draining = true;
+        self.lock().draining = true;
         self.progress.notify_all();
         Ok(())
     }
@@ -315,53 +342,63 @@ impl Dispatcher {
     /// Asks for one shard of work on behalf of `worker`.
     pub fn lease(&self, worker: &str) -> Result<Lease, Error> {
         validate_worker_id(worker)?;
-        #[cfg(feature = "failpoints")]
-        if let Some(e) = crate::failpoint::io_error("fp/dispatch.lease") {
-            return Err(Error::Dispatch {
-                message: format!("lease refused: {e}"),
-            });
-        }
+        refuse_lease()?;
         let now = Instant::now();
-        let mut inner = self.lock()?;
+        let mut inner = self.lock();
         if inner.draining {
             return Ok(Lease::Draining);
         }
-        expire_leases(&mut inner, now, &self.options);
-        for (hash, job) in &mut inner.jobs {
-            let shards = job.units.len();
-            for (k, unit) in job.units.iter_mut().enumerate() {
-                let UnitState::Pending { not_before } = unit.state else {
-                    continue;
-                };
-                if not_before > now {
-                    continue;
-                }
-                unit.attempts += 1;
-                unit.state = UnitState::Leased {
-                    worker: worker.to_owned(),
-                    deadline: now + self.options.lease,
-                };
-                return Ok(Lease::Assigned(Assignment {
-                    job: *hash,
-                    shard: k,
-                    shards,
-                    attempt: unit.attempts,
-                    lease_ms: duration_ms(self.options.lease),
-                    heartbeat_ms: duration_ms(self.options.heartbeat),
-                    spec: job.spec_text.clone(),
-                }));
-            }
+        let deadline = now + self.options.lease;
+        let Some((job, shard, attempt)) =
+            grant(&mut inner, None, worker, Some(deadline), now, &self.options)
+        else {
+            return Ok(Lease::Idle {
+                retry_after_ms: self.options.retry_after_ms,
+            });
+        };
+        let table = &inner.jobs[&job];
+        Ok(Lease::Assigned(Assignment {
+            job,
+            shard,
+            shards: table.units.len(),
+            attempt,
+            lease_ms: duration_ms(self.options.lease),
+            heartbeat_ms: duration_ms(self.options.heartbeat),
+            spec: table.spec_text.clone(),
+        }))
+    }
+
+    /// Leases one of `job`'s runnable shards to the calling thread, without
+    /// a deadline. Refused by the same failpoint as a remote lease; blind to
+    /// drain, which the in-process driver observes through its own cancel
+    /// probe.
+    fn lease_in_process(&self, job: CanonHash) -> Result<Step, Error> {
+        refuse_lease()?;
+        let now = Instant::now();
+        let mut inner = self.lock();
+        if let Some((_, shard, attempt)) =
+            grant(&mut inner, Some(job), IN_PROCESS, None, now, &self.options)
+        {
+            return Ok(Step::Run { shard, attempt });
         }
-        Ok(Lease::Idle {
-            retry_after_ms: self.options.retry_after_ms,
-        })
+        let next = inner.jobs.get(&job).and_then(|table| {
+            table
+                .units
+                .iter()
+                .filter_map(|unit| match unit.state {
+                    UnitState::Pending { not_before } => Some(not_before),
+                    _ => None,
+                })
+                .min()
+        });
+        Ok(next.map_or(Step::Finished, Step::Sleep))
     }
 
     /// Extends `worker`'s lease on `(job, shard)` — if it still holds one.
     pub fn heartbeat(&self, worker: &str, job: CanonHash, shard: usize) -> Result<Heartbeat, Error> {
         validate_worker_id(worker)?;
         let now = Instant::now();
-        let mut inner = self.lock()?;
+        let mut inner = self.lock();
         if inner.draining {
             return Ok(Heartbeat::Lost);
         }
@@ -371,7 +408,11 @@ impl Dispatcher {
             .get_mut(&job)
             .and_then(|j| j.units.get_mut(shard))
         {
-            if let UnitState::Leased { worker: holder, deadline } = &mut unit.state {
+            if let UnitState::Leased {
+                worker: holder,
+                deadline: Some(deadline),
+            } = &mut unit.state
+            {
                 if holder == worker {
                     *deadline = now + self.options.lease;
                     return Ok(Heartbeat::Held);
@@ -381,11 +422,8 @@ impl Dispatcher {
         Ok(Heartbeat::Lost)
     }
 
-    /// Accepts a finished shard file from `worker`. The bytes are written
-    /// to a per-worker temp file, strictly validated ([`read_shard`] plus
-    /// header/geometry checks), and only then atomically renamed onto the
-    /// canonical shard path — the first valid result wins, later ones are
-    /// [`Completion::Duplicate`]s.
+    /// Accepts a finished shard file from `worker`: the bytes are staged in
+    /// a per-worker temp file and [published](Self::publish) from there.
     pub fn complete(
         &self,
         worker: &str,
@@ -394,25 +432,9 @@ impl Dispatcher {
         bytes: &[u8],
     ) -> Result<Completion, Error> {
         validate_worker_id(worker)?;
-        // Snapshot the identity under the lock, validate outside it (the
-        // strict read re-parses the whole file; holding the table across
-        // that would stall every heartbeat).
-        let (header, dir, shards) = {
-            let inner = self.lock()?;
-            let Some(table) = inner.jobs.get(&job) else {
-                return Ok(Completion::Rejected {
-                    reason: format!("job {job} is not registered for dispatch"),
-                });
-            };
-            if shard >= table.units.len() {
-                return Ok(Completion::Rejected {
-                    reason: format!(
-                        "shard {shard} out of range for {} shard(s)",
-                        table.units.len()
-                    ),
-                });
-            }
-            (table.header.clone(), table.dir.clone(), table.units.len())
+        let dir = match self.target(job, shard) {
+            Ok((_, dir)) => dir,
+            Err(reason) => return Ok(Completion::Rejected { reason }),
         };
         let tmp = dir.join(format!("shard-{shard}.{worker}.tmp"));
         if let Err(e) = std::fs::write(&tmp, bytes) {
@@ -420,37 +442,68 @@ impl Dispatcher {
                 message: format!("cannot stage upload {}: {e}", tmp.display()),
             });
         }
-        if let Err(reason) = validate_shard_upload(&tmp, &header, shards, shard) {
+        let outcome = self.publish(job, shard, &tmp);
+        if !matches!(outcome, Ok(Completion::Accepted)) {
             let _ = std::fs::remove_file(&tmp);
+        }
+        outcome
+    }
+
+    /// Strictly validates the shard file at `file` ([`read_shard`] plus
+    /// header/geometry checks) and only then renames it atomically onto the
+    /// canonical shard path — the first valid result wins, later ones are
+    /// [`Completion::Duplicate`]s. A file that is not published stays where
+    /// it is.
+    fn publish(&self, job: CanonHash, shard: usize, file: &Path) -> Result<Completion, Error> {
+        // Snapshot the identity under the lock, validate outside it (the
+        // strict read re-parses the whole file; holding the table across
+        // that would stall every heartbeat).
+        let (header, dir) = match self.target(job, shard) {
+            Ok(target) => target,
+            Err(reason) => return Ok(Completion::Rejected { reason }),
+        };
+        if let Err(reason) = validate_shard_upload(file, &header, self.shards, shard) {
             return Ok(Completion::Rejected { reason });
         }
         let canonical = shard_path(&dir, shard);
-        let mut inner = self.lock()?;
+        let mut inner = self.lock();
         let Some(unit) = inner
             .jobs
             .get_mut(&job)
             .and_then(|j| j.units.get_mut(shard))
         else {
             // The job was withdrawn while we validated.
-            let _ = std::fs::remove_file(&tmp);
             return Ok(Completion::Rejected {
                 reason: format!("job {job} is not registered for dispatch"),
             });
         };
         if matches!(unit.state, UnitState::Completed) {
-            let _ = std::fs::remove_file(&tmp);
             return Ok(Completion::Duplicate);
         }
-        if let Err(e) = std::fs::rename(&tmp, &canonical) {
-            let _ = std::fs::remove_file(&tmp);
-            return Err(Error::Dispatch {
-                message: format!("cannot publish {}: {e}", canonical.display()),
-            });
-        }
+        std::fs::rename(file, &canonical).map_err(|e| Error::Dispatch {
+            message: format!("cannot publish {}: {e}", canonical.display()),
+        })?;
         unit.state = UnitState::Completed;
         drop(inner);
         self.progress.notify_all();
         Ok(Completion::Accepted)
+    }
+
+    /// The identity and shard directory a result for `(job, shard)` must
+    /// match, or why no result for it can be accepted.
+    fn target(&self, job: CanonHash, shard: usize) -> Result<(CheckpointHeader, PathBuf), String> {
+        let inner = self.lock();
+        let table = inner
+            .jobs
+            .get(&job)
+            .ok_or_else(|| format!("job {job} is not registered for dispatch"))?;
+        if shard >= table.units.len() {
+            return Err(format!(
+                "shard {shard} out of range for {} shard(s)",
+                table.units.len()
+            ));
+        }
+        Ok((table.header.clone(), table.dir.clone()))
     }
 
     /// Reports a failed shard attempt from `worker` (the shard runner
@@ -468,7 +521,7 @@ impl Dispatcher {
         let now = Instant::now();
         let budget = self.options.attempts;
         let backoff = self.options.backoff;
-        let mut inner = self.lock()?;
+        let mut inner = self.lock();
         let Some(unit) = inner
             .jobs
             .get_mut(&job)
@@ -500,11 +553,86 @@ impl Dispatcher {
         Ok(())
     }
 
+    /// Runs `job`'s shards on the calling thread until none is pending.
+    /// Each round leases a shard in-process, runs it with [`run_shard`] in
+    /// the job directory's `scratch/` subdirectory (so a partial checkpoint
+    /// never sits at the canonical path), and then either
+    /// [publishes](Self::publish) the result or reports the error, panic or
+    /// rejection through [`fail`](Self::fail), which requeues the shard
+    /// after its backoff or quarantines it. Sleeps only while every
+    /// unfinished shard is backing off.
+    ///
+    /// `base.cancel` is polled before each lease and by each shard's
+    /// campaign; a trip returns [`Error::Interrupted`], leaving the
+    /// interrupted shard's partial checkpoint in scratch for the next run
+    /// to resume. Otherwise returns the retried attempts (lease grants
+    /// beyond each shard's first); [`wait_job`](Self::wait_job) then reports
+    /// how the job ended.
+    pub(crate) fn run_in_process(
+        &self,
+        job: CanonHash,
+        circuit: &Circuit,
+        seq: &TestSequence,
+        faults: &[Fault],
+        base: &CampaignOptions,
+    ) -> Result<u64, Error> {
+        let scratch = self
+            .lock()
+            .jobs
+            .get(&job)
+            .map(|table| table.dir.join("scratch"))
+            .ok_or_else(|| Error::Dispatch {
+                message: format!("job {job} is not registered for dispatch"),
+            })?;
+        let interrupted = |partial: usize| Error::Interrupted {
+            completed: self.lock().jobs.get(&job).map_or(0, JobTable::completed_faults) + partial,
+            total: faults.len(),
+        };
+        let mut retried = 0;
+        loop {
+            if base.cancel.as_ref().is_some_and(|probe| probe()) {
+                return Err(interrupted(0));
+            }
+            let (shard, attempt) = match self.lease_in_process(job) {
+                Ok(Step::Run { shard, attempt }) => (shard, attempt),
+                Ok(Step::Sleep(until)) => {
+                    std::thread::sleep(until.saturating_duration_since(Instant::now()));
+                    continue;
+                }
+                Ok(Step::Finished) => {
+                    // Empty once every shard is published; quarantined
+                    // shards keep their partial checkpoints for a rerun.
+                    let _ = std::fs::remove_dir(&scratch);
+                    return Ok(retried);
+                }
+                // A refused lease is transient: ask again.
+                Err(_) => continue,
+            };
+            if attempt > 1 {
+                retried += 1;
+            }
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                run_shard(circuit, seq, faults, base, self.shards, shard, &scratch)?;
+                self.publish(job, shard, &shard_path(&scratch, shard))
+            }));
+            let error = match outcome {
+                Ok(Ok(Completion::Accepted | Completion::Duplicate)) => continue,
+                Ok(Ok(Completion::Rejected { reason })) => reason,
+                Ok(Err(Error::Interrupted { completed, .. })) => return Err(interrupted(completed)),
+                Ok(Err(e)) => e.to_string(),
+                Err(payload) => {
+                    format!("shard worker panicked: {}", panic_message(payload.as_ref()))
+                }
+            };
+            self.fail(IN_PROCESS, job, shard, &error)?;
+        }
+    }
+
     /// Blocks until `hash` reaches a terminal state: every shard completed
     /// ([`JobOutcome::Done`]) or every shard terminal with at least one
     /// quarantine ([`JobOutcome::Quarantined`]). `cancel` is polled between
-    /// waits; a trip answers [`JobOutcome::Cancelled`] without touching the
-    /// table (the caller decides whether to withdraw). The wait loop also
+    /// waits; a trip returns [`Error::Interrupted`], counting the faults of
+    /// the completed shards, without touching the table. The wait loop also
     /// runs lease expiry, so dead workers are detected even when no worker
     /// traffic arrives.
     pub fn wait_job(
@@ -512,7 +640,7 @@ impl Dispatcher {
         hash: CanonHash,
         cancel: impl Fn() -> bool,
     ) -> Result<JobOutcome, Error> {
-        let mut inner = self.lock()?;
+        let mut inner = self.lock();
         loop {
             expire_leases(&mut inner, Instant::now(), &self.options);
             let Some(job) = inner.jobs.get(&hash) else {
@@ -520,17 +648,12 @@ impl Dispatcher {
                     message: format!("job {hash} is not registered for dispatch"),
                 });
             };
-            let shards = job.units.len();
-            let mut files = Vec::with_capacity(shards);
+            let mut files = Vec::with_capacity(job.units.len());
             let mut failures = Vec::new();
-            let mut completed_faults: u64 = 0;
             let mut terminal = true;
             for (k, unit) in job.units.iter().enumerate() {
                 match &unit.state {
-                    UnitState::Completed => {
-                        files.push(shard_path(&job.dir, k));
-                        completed_faults += shard_info(job.header.total_faults, shards, k).len;
-                    }
+                    UnitState::Completed => files.push(shard_path(&job.dir, k)),
                     UnitState::Quarantined { reason } => failures.push(ShardFailure {
                         shard_id: k,
                         attempts: unit.attempts as usize,
@@ -547,24 +670,22 @@ impl Dispatcher {
                 });
             }
             if cancel() {
-                return Ok(JobOutcome::Cancelled {
-                    completed: usize::try_from(completed_faults).unwrap_or(usize::MAX),
+                return Err(Error::Interrupted {
+                    completed: job.completed_faults(),
                     total: job.header.total_faults,
                 });
             }
-            let (guard, _) = self
+            inner = self
                 .progress
                 .wait_timeout(inner, Duration::from_millis(50))
-                .map_err(|_| Error::Dispatch {
-                    message: "dispatch table poisoned by a panicking thread".into(),
-                })?;
-            inner = guard;
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
     }
 
     /// Aggregate counts for `moa status`.
     pub fn stats(&self) -> Result<DispatchStats, Error> {
-        let mut inner = self.lock()?;
+        let mut inner = self.lock();
         expire_leases(&mut inner, Instant::now(), &self.options);
         let mut stats = DispatchStats {
             jobs: inner.jobs.len(),
@@ -584,13 +705,67 @@ impl Dispatcher {
     }
 }
 
-/// Expires overdue leases: requeue with exponential backoff below the
-/// attempt budget, quarantine at it. Called with the table locked from
+/// Leases the first runnable shard — of job `only`, or of any job — to
+/// `worker` until `deadline` (`None`: an in-process lease), after running
+/// lease expiry. Returns the job, the shard and its lease grant count.
+fn grant(
+    inner: &mut DispatchInner,
+    only: Option<CanonHash>,
+    worker: &str,
+    deadline: Option<Instant>,
+    now: Instant,
+    options: &DispatchOptions,
+) -> Option<(CanonHash, usize, u32)> {
+    expire_leases(inner, now, options);
+    for (hash, job) in &mut inner.jobs {
+        if only.is_some_and(|only| only != *hash) {
+            continue;
+        }
+        for (k, unit) in job.units.iter_mut().enumerate() {
+            if matches!(unit.state, UnitState::Pending { not_before } if not_before <= now) {
+                unit.attempts += 1;
+                unit.state = UnitState::Leased {
+                    worker: worker.to_owned(),
+                    deadline,
+                };
+                return Some((*hash, k, unit.attempts));
+            }
+        }
+    }
+    None
+}
+
+/// The `fp/dispatch.lease` failpoint: an injected refusal is a transient
+/// error for remote and in-process lessees alike.
+#[cfg_attr(not(feature = "failpoints"), allow(clippy::unnecessary_wraps))]
+fn refuse_lease() -> Result<(), Error> {
+    #[cfg(feature = "failpoints")]
+    if let Some(e) = crate::failpoint::io_error("fp/dispatch.lease") {
+        return Err(Error::Dispatch {
+            message: format!("lease refused: {e}"),
+        });
+    }
+    Ok(())
+}
+
+/// The delay before re-leasing after failed attempt `attempt` (1-based):
+/// `base * 2^(attempt-1)`, with the doubling capped at `2^16` so large
+/// attempt budgets cannot overflow the shift, and the product saturating.
+fn backoff_delay(base: Duration, attempt: usize) -> Duration {
+    base.saturating_mul(1u32 << attempt.saturating_sub(1).min(16))
+}
+
+/// Expires overdue remote leases: requeue with exponential backoff below
+/// the attempt budget, quarantine at it. Called with the table locked from
 /// every entry point, so expiry needs no timer thread.
 fn expire_leases(inner: &mut DispatchInner, now: Instant, options: &DispatchOptions) {
     for job in inner.jobs.values_mut() {
         for (k, unit) in job.units.iter_mut().enumerate() {
-            let UnitState::Leased { worker, deadline } = &unit.state else {
+            let UnitState::Leased {
+                worker,
+                deadline: Some(deadline),
+            } = &unit.state
+            else {
                 continue;
             };
             if *deadline > now {
@@ -644,7 +819,7 @@ fn validate_worker_id(worker: &str) -> Result<(), Error> {
 /// Strictly validates an uploaded shard file against the job's identity and
 /// the shard's place in the partition. Returns the rejection reason.
 fn validate_shard_upload(
-    path: &std::path::Path,
+    path: &Path,
     header: &CheckpointHeader,
     shards: usize,
     shard: usize,
@@ -680,10 +855,10 @@ fn validate_shard_upload(
 }
 
 /// Is the canonical shard file on disk already a complete, valid result for
-/// this job? (Daemon-restart adoption.) Damaged or foreign files are
-/// removed so a later publish cannot be confused with them.
+/// this job? (Restart adoption.) Damaged or foreign files are removed so a
+/// later publish cannot be confused with them.
 fn shard_file_is_complete(
-    path: &std::path::Path,
+    path: &Path,
     header: &CheckpointHeader,
     shards: usize,
     shard: usize,
@@ -703,8 +878,8 @@ mod tests {
     use super::*;
     use crate::campaign::{run_campaign, CampaignOptions};
     use crate::canon::verdict_digest;
-    use crate::shard::{merge_shards, run_shard};
-    use crate::spool::JobSpec;
+    use crate::shard::merge_shards;
+    use crate::spool::{JobSpec, Spool};
     use moa_circuits::iscas::S27_BENCH;
     use moa_tpg::random_sequence;
 
@@ -724,15 +899,26 @@ mod tests {
         JobSpec::new(S27_BENCH, &seq.to_text(), CampaignOptions::new()).expect("valid spec")
     }
 
-    /// A spool holding the s27 job, and a dispatcher over it.
+    /// Registers a spooled job the way the daemon does.
+    fn register(d: &Dispatcher, spool: &Spool, hash: CanonHash) {
+        let spec = spool.load_spec(hash).expect("load spec");
+        let header = CheckpointHeader {
+            circuit: spec.circuit.name().to_owned(),
+            total_faults: moa_netlist::full_fault_list(&spec.circuit).len(),
+            seq_len: spec.seq.len(),
+        };
+        d.register_job(hash, header, spool.shards_dir(hash), spec.to_text())
+            .expect("register");
+    }
+
+    /// A spool holding the s27 job, and a dispatcher with the job registered.
     fn dispatcher(tag: &str, shards: usize, options: DispatchOptions) -> (Dispatcher, CanonHash, PathBuf) {
         let dir = temp_dir(tag);
         let spool = Spool::open(&dir).expect("open spool");
-        let spec = s27_spec();
-        let (hash, fresh) = spool.admit(&spec).expect("admit");
+        let (hash, fresh) = spool.admit(&s27_spec()).expect("admit");
         assert!(fresh);
-        let dispatcher = Dispatcher::new(spool, shards, options).expect("dispatcher");
-        dispatcher.register_job(hash).expect("register");
+        let dispatcher = Dispatcher::new(shards, options).expect("dispatcher");
+        register(&dispatcher, &spool, hash);
         (dispatcher, hash, dir)
     }
 
@@ -772,22 +958,30 @@ mod tests {
     }
 
     #[test]
+    fn backoff_doubles_per_attempt_and_caps_at_two_to_the_sixteenth() {
+        let base = Duration::from_millis(10);
+        assert_eq!(backoff_delay(base, 0), base, "attempt 0 saturates to the base");
+        assert_eq!(backoff_delay(base, 1), base);
+        assert_eq!(backoff_delay(base, 2), base * 2);
+        assert_eq!(backoff_delay(base, 17), base * (1 << 16));
+        assert_eq!(backoff_delay(base, 1000), base * (1 << 16), "the doubling is capped");
+        assert_eq!(backoff_delay(Duration::MAX, 3), Duration::MAX, "the product saturates");
+    }
+
+    #[test]
     fn options_are_validated() {
-        let dir = temp_dir("opts");
-        let spool = Spool::open(&dir).expect("spool");
         let bad_lease = DispatchOptions {
             lease: Duration::from_millis(10),
             heartbeat: Duration::from_millis(9),
             ..DispatchOptions::default()
         };
-        assert!(Dispatcher::new(spool.clone(), 2, bad_lease).is_err());
+        assert!(Dispatcher::new(2, bad_lease).is_err());
         let bad_attempts = DispatchOptions {
             attempts: 0,
             ..DispatchOptions::default()
         };
-        assert!(Dispatcher::new(spool.clone(), 2, bad_attempts).is_err());
-        assert!(Dispatcher::new(spool, 0, DispatchOptions::default()).is_err());
-        let _ = std::fs::remove_dir_all(&dir);
+        assert!(Dispatcher::new(2, bad_attempts).is_err());
+        assert!(Dispatcher::new(0, DispatchOptions::default()).is_err());
     }
 
     #[test]
@@ -1034,12 +1228,71 @@ mod tests {
             &spool.shards_dir(hash),
         )
         .expect("pre-existing shard 0");
-        let d = Dispatcher::new(spool, 2, quick()).expect("dispatcher");
-        d.register_job(hash).expect("register");
+        let d = Dispatcher::new(2, quick()).expect("dispatcher");
+        register(&d, &spool, hash);
         let stats = d.stats().expect("stats");
         assert_eq!((stats.completed, stats.pending), (1, 1));
         let a = assignment(d.lease("w").expect("lease"));
         assert_eq!(a.shard, 1, "only the missing shard is dispatched");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An in-process lease has no deadline: it is neither expired nor
+    /// re-granted after the remote lease length passes.
+    #[test]
+    fn in_process_leases_never_expire() {
+        let (d, hash, dir) = dispatcher("in-process", 1, quick());
+        let Step::Run { shard, attempt } = d.lease_in_process(hash).expect("lease") else {
+            panic!("the pending shard must be leased in-process");
+        };
+        assert_eq!((shard, attempt), (0, 1));
+        std::thread::sleep(quick().lease * 2);
+        assert_eq!(d.stats().expect("stats").leased, 1, "the lease outlives the remote deadline");
+        assert!(
+            matches!(d.lease("thief").expect("lease"), Lease::Idle { .. }),
+            "an in-process lease is never re-granted"
+        );
+        assert_eq!(d.stats().expect("stats").leased, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An in-process failure report requeues with backoff below the budget
+    /// and quarantines at it, with the reason a remote failure gets.
+    #[test]
+    fn in_process_failures_back_off_then_quarantine() {
+        // A backoff long enough that a descheduled test thread still finds
+        // the shard backing off.
+        let backoff = Duration::from_millis(250);
+        let options = DispatchOptions {
+            attempts: 2,
+            backoff,
+            ..quick()
+        };
+        let (d, hash, dir) = dispatcher("in-process-fail", 1, options);
+        let Step::Run { shard, .. } = d.lease_in_process(hash).expect("lease") else {
+            panic!("the pending shard must be leased in-process");
+        };
+        let failed_at = Instant::now();
+        d.fail(IN_PROCESS, hash, shard, "injected shard error").expect("fail");
+        let Step::Sleep(until) = d.lease_in_process(hash).expect("lease") else {
+            panic!("a failed shard must back off before its retry");
+        };
+        assert!(until >= failed_at + backoff, "one backoff step");
+        assert_eq!(d.stats().expect("stats").pending, 1, "requeued, not dropped");
+        std::thread::sleep(until.saturating_duration_since(Instant::now()));
+        let Step::Run { shard, attempt } = d.lease_in_process(hash).expect("lease") else {
+            panic!("the backoff has passed");
+        };
+        assert_eq!(attempt, 2);
+        d.fail(IN_PROCESS, hash, shard, "still broken").expect("fail");
+        let JobOutcome::Quarantined(failures) = d.wait_job(hash, || false).expect("wait") else {
+            panic!("must quarantine at the budget");
+        };
+        assert_eq!(
+            failures[0].last_error,
+            "shard 0 failed 2 of 2 attempt(s); last error from worker `in-process`: still broken"
+        );
+        assert!(matches!(d.lease_in_process(hash).expect("lease"), Step::Finished));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -33,10 +33,10 @@
 //! | `fp/analyze.pass` | each `moa_analyze` pass in `run_passes` | panic, delay |
 //! | `fp/shard.write` | sharded v2 serialization + fsync | error, panic, delay |
 //! | `fp/shard.read` | strict shard reading during merge | error, panic, delay |
-//! | `fp/shard.run` | shard-worker entry, under the supervisor | panic, delay |
+//! | `fp/shard.run` | shard runner entry (`run_shard`) | panic, delay |
 //! | `fp/serve.send` | daemon/worker protocol line writes (CLI) | error, panic, delay |
 //! | `fp/serve.recv` | daemon/worker protocol line reads (CLI) | error, panic, delay |
-//! | `fp/dispatch.lease` | dispatch-table lease grants | error, panic, delay |
+//! | `fp/dispatch.lease` | lease grants, remote and in-process | error, panic, delay |
 //!
 //! The `fp/bench.parse` and `fp/analyze.pass` sites live in crates that
 //! cannot depend on this one; [`install`]/[`clear`] wire them up through
@@ -91,7 +91,7 @@ pub const SITES: &[&str] = &[
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailAction {
     /// Panic with a message naming the site (exercises panic isolation and
-    /// worker respawn).
+    /// dying workers).
     Panic,
     /// Sleep for the given duration (exercises deadline budgets and stalls).
     Delay(Duration),

@@ -51,10 +51,13 @@
 //!   ([`CampaignOptions::audit`]) quarantine any refuted detection as
 //!   [`FaultStatus::AuditFailed`] instead of reporting it,
 //! - [`shard`] — crash-safe sharded campaigns: a deterministic fault-list
-//!   [`partition`], per-shard supervision with timeouts/retries/quarantine
-//!   ([`run_sharded`]), one v2 checkpoint file per shard and an
-//!   integrity-verified [`merge_shards`] proven bit-identical to the
-//!   unsharded run.
+//!   [`partition`], [`run_sharded`] on the calling thread, one v2
+//!   checkpoint file per shard and an integrity-verified [`merge_shards`]
+//!   proven bit-identical to the unsharded run,
+//! - [`dispatch`] — the one shard supervisor: the lease table
+//!   ([`Dispatcher`]) with retries, backoff and quarantine, behind both
+//!   [`run_sharded`] and the daemon ([`serve`]), whose shards run either on
+//!   the job's worker thread or on remote `moa work` processes.
 //!
 //! The expansion-only baseline of the paper's reference \[4] is the same
 //! pipeline with [`MoaOptions::baseline`] (backward implications disabled).

@@ -1,5 +1,5 @@
 //! The campaign daemon engine: a bounded admission queue, a worker pool
-//! over [`run_sharded`](crate::run_sharded) + [`merge_shards`], poison
+//! over the shard lease table ([`Dispatcher`]) + [`merge_shards`], poison
 //! quarantine, graceful drain, and crash recovery over the [`Spool`].
 //!
 //! The transport (TCP, protocol framing, signals) lives in the CLI; this
@@ -27,9 +27,15 @@
 //! - **Crash recovery.** [`Server::start`] scans the spool: finished and
 //!   poisoned jobs become cache entries; queued jobs (including those a
 //!   SIGKILL interrupted mid-run) are re-adopted into the queue. Their
-//!   shard checkpoints survive in the job directory, so the re-run resumes
-//!   from the lenient reader's intact prefix — bit-identically, as the
+//!   shard files survive in the job directory: published shards are
+//!   adopted, and an in-process shard's scratch checkpoint resumes from the
+//!   lenient reader's intact prefix — bit-identically, as the
 //!   kill-and-restart tests prove.
+//!
+//! Every job attempt takes one path: register its shards in the lease
+//! table, drive them on the job worker's thread (unless remote `moa work`
+//! processes lease them, with [`ServeOptions::dispatch`]), wait for every
+//! shard to finish, merge.
 
 use std::collections::{HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -38,15 +44,15 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use moa_netlist::full_fault_list;
 
 use crate::campaign::{panic_message, CampaignResult};
 use crate::canon::{verdict_digest, CanonHash};
+use crate::checkpoint::CheckpointHeader;
 use crate::dispatch::{DispatchOptions, Dispatcher, JobOutcome};
 use crate::error::Error;
-use crate::shard::{merge_shards, run_sharded, ShardOptions};
+use crate::shard::{merge_shards, ShardFailure};
 use crate::spool::{JobSpec, JobState, Spool};
 
 /// Daemon policy knobs.
@@ -63,15 +69,13 @@ pub struct ServeOptions {
     pub job_attempts: u32,
     /// Shards per job (the fault list is partitioned across these).
     pub shards: usize,
-    /// Per-shard-attempt timeout handed to the shard supervisor.
-    pub shard_timeout: Option<Duration>,
-    /// Per-shard retries handed to the shard supervisor.
-    pub shard_retries: usize,
     /// The hint returned with a [`Submit::Rejected`].
     pub retry_after_ms: u64,
     /// When set, jobs are not run in-process: their shards are handed to
     /// remote `moa work` processes through the [`Dispatcher`], under this
-    /// lease/heartbeat/attempt policy. The merge gate is unchanged.
+    /// lease/heartbeat/attempt policy. Without it, shards run on the job
+    /// worker's thread under the default policy's attempt budget and
+    /// backoff. The merge gate is unchanged.
     pub dispatch: Option<DispatchOptions>,
 }
 
@@ -85,8 +89,6 @@ impl ServeOptions {
             workers: 2,
             job_attempts: 3,
             shards: 2,
-            shard_timeout: None,
-            shard_retries: 2,
             retry_after_ms: 1000,
             dispatch: None,
         }
@@ -217,10 +219,9 @@ struct Shared {
     drain: Arc<AtomicBool>,
     spool: Spool,
     options: ServeOptions,
-    /// Present in dispatch mode: the shard lease table remote workers pull
-    /// from. Job workers block in [`Dispatcher::wait_job`] instead of
-    /// running shards themselves.
-    dispatcher: Option<Arc<Dispatcher>>,
+    /// The shard lease table every job attempt registers in. In dispatch
+    /// mode remote workers pull from it and job workers only wait.
+    dispatcher: Arc<Dispatcher>,
 }
 
 /// Broadcasts an event. Dead subscribers are dropped on the next
@@ -262,15 +263,11 @@ impl Server {
                 message: "job attempt limit must be at least 1".into(),
             });
         }
+        let dispatcher = Arc::new(Dispatcher::new(
+            options.shards,
+            options.dispatch.clone().unwrap_or_default(),
+        )?);
         let spool = Spool::open(&options.spool_dir)?;
-        let dispatcher = match &options.dispatch {
-            Some(policy) => Some(Arc::new(Dispatcher::new(
-                spool.clone(),
-                options.shards,
-                policy.clone(),
-            )?)),
-            None => None,
-        };
 
         // Crash recovery: the previous daemon's queue is reconstructed
         // from the spool alone. A job that was *running* when the daemon
@@ -351,7 +348,8 @@ impl Server {
     /// ([`ServeOptions::dispatch`]). The transport layer serves remote
     /// workers' lease/heartbeat/complete/fail requests through this handle.
     pub fn dispatcher(&self) -> Option<&Arc<Dispatcher>> {
-        self.shared.dispatcher.as_ref()
+        let shared = &self.shared;
+        shared.options.dispatch.is_some().then_some(&shared.dispatcher)
     }
 
     /// Handles one submission end-to-end: dedupe against the spool, then
@@ -497,11 +495,9 @@ impl Server {
     /// for the next daemon to adopt.
     pub fn drain(&self) -> Result<usize, Error> {
         self.shared.drain.store(true, Ordering::SeqCst);
-        if let Some(dispatcher) = &self.shared.dispatcher {
-            // Stop handing out leases first: remote workers learn from
-            // their next heartbeat/lease, checkpoint, and disconnect.
-            dispatcher.drain()?;
-        }
+        // Stop handing out remote leases first: remote workers learn from
+        // their next heartbeat/lease, checkpoint, and disconnect.
+        self.shared.dispatcher.drain()?;
         {
             let mut inner = lock_inner(&self.shared)?;
             inner.draining = true;
@@ -560,6 +556,10 @@ fn worker_loop(shared: &Shared) {
             }
         };
         let outcome = catch_unwind(AssertUnwindSafe(|| run_job(shared, hash)));
+        // However the attempt ended, its shards leave the lease table (their
+        // leases die with them). Published shard files stay on disk: the
+        // next attempt re-registers with fresh budgets and adopts them.
+        let _ = shared.dispatcher.forget_job(hash);
         let Ok(mut inner) = shared.inner.lock() else {
             return;
         };
@@ -608,9 +608,11 @@ fn handle_failure(shared: &Shared, inner: &mut Inner, hash: CanonHash, message: 
     shared.work_ready.notify_one();
 }
 
-/// Executes one attempt of one job: sharded run (resuming whatever shard
-/// checkpoints survive in the job directory), verified merge, result
-/// publication, scratch cleanup.
+/// Executes one attempt of one job: register its shards (adopting shard
+/// files a previous attempt published), run them in-process unless remote
+/// workers lease them, wait for every shard, verified merge, result
+/// publication, scratch cleanup. Quarantine and drain map onto the job-level
+/// poison ladder and the interrupt/re-adopt flow.
 fn run_job(shared: &Shared, hash: CanonHash) -> Result<(), Error> {
     let spool = &shared.spool;
     let attempts = spool.record_attempt(hash)?;
@@ -623,22 +625,23 @@ fn run_job(shared: &Shared, hash: CanonHash) -> Result<(), Error> {
     fail_hit!("fp/serve.worker");
     let spec = spool.load_spec(hash)?;
     let faults = full_fault_list(&spec.circuit);
-    let files = if let Some(dispatcher) = &shared.dispatcher {
-        collect_dispatched_shards(shared, dispatcher, hash)?
-    } else {
-        let drain = Arc::clone(&shared.drain);
+    let dispatcher = &shared.dispatcher;
+    let header = CheckpointHeader {
+        circuit: spec.circuit.name().to_owned(),
+        total_faults: faults.len(),
+        seq_len: spec.seq.len(),
+    };
+    dispatcher.register_job(hash, header, spool.shards_dir(hash), spec.to_text())?;
+    let drain = Arc::clone(&shared.drain);
+    let cancel = move || drain.load(Ordering::Relaxed);
+    if shared.options.dispatch.is_none() {
         let mut base = spec.options.clone();
-        base.cancel = Some(Arc::new(move || drain.load(Ordering::Relaxed)));
-        let shard_options = ShardOptions {
-            timeout: shared.options.shard_timeout,
-            retries: shared.options.shard_retries,
-            ..ShardOptions::new(shared.options.shards, spool.shards_dir(hash))
-        };
-        let run = run_sharded(&spec.circuit, &spec.seq, &faults, &base, &shard_options)?;
-        if !run.quarantined.is_empty() {
-            return Err(quarantine_error(&run.quarantined));
-        }
-        run.files
+        base.cancel = Some(Arc::new(cancel.clone()));
+        dispatcher.run_in_process(hash, &spec.circuit, &spec.seq, &faults, &base)?;
+    }
+    let files = match dispatcher.wait_job(hash, cancel)? {
+        JobOutcome::Done(files) => files,
+        JobOutcome::Quarantined(failures) => return Err(quarantine_error(&failures)),
     };
     // Merge with the spec's own options (no cancel probe): the merge is
     // cheap validation + audit replay, and serving a half-merged result
@@ -652,45 +655,8 @@ fn run_job(shared: &Shared, hash: CanonHash) -> Result<(), Error> {
     Ok(())
 }
 
-/// One job attempt in dispatch mode: register the job's shards (adopting
-/// any valid canonical files already on disk), then block until remote
-/// workers complete the partition. Quarantine and drain map onto the same
-/// error paths as the in-process runner, so the job-level poison ladder
-/// and the interrupt/re-adopt flow are identical in both modes.
-fn collect_dispatched_shards(
-    shared: &Shared,
-    dispatcher: &Arc<Dispatcher>,
-    hash: CanonHash,
-) -> Result<Vec<PathBuf>, Error> {
-    dispatcher.register_job(hash)?;
-    let drain = Arc::clone(&shared.drain);
-    let outcome = dispatcher.wait_job(hash, move || drain.load(Ordering::Relaxed));
-    match outcome {
-        Ok(JobOutcome::Done(files)) => {
-            dispatcher.forget_job(hash)?;
-            Ok(files)
-        }
-        Ok(JobOutcome::Quarantined(failures)) => {
-            // Completed shards keep their published files: the next job
-            // attempt re-registers and only the quarantined shards are
-            // re-dispatched.
-            dispatcher.forget_job(hash)?;
-            Err(quarantine_error(&failures))
-        }
-        Ok(JobOutcome::Cancelled { completed, total }) => {
-            dispatcher.forget_job(hash)?;
-            Err(Error::Interrupted { completed, total })
-        }
-        Err(e) => {
-            let _ = dispatcher.forget_job(hash);
-            Err(e)
-        }
-    }
-}
-
-/// The shared "shards quarantined" failure message (in-process supervisor
-/// and remote dispatch agree, so operators and tests see one format).
-fn quarantine_error(failures: &[crate::shard::ShardFailure]) -> Error {
+/// The "shards quarantined" job failure message.
+fn quarantine_error(failures: &[ShardFailure]) -> Error {
     let worst = &failures[0];
     Error::Serve {
         message: format!(
@@ -700,5 +666,29 @@ fn quarantine_error(failures: &[crate::shard::ShardFailure]) -> Error {
             worst.attempts,
             worst.last_error
         ),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn zero_shards_are_refused_in_both_modes() {
+        let dir =
+            std::env::temp_dir().join(format!("moa-serve-zero-shards-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        for dispatch in [None, Some(DispatchOptions::default())] {
+            let options = ServeOptions {
+                shards: 0,
+                dispatch,
+                ..ServeOptions::new(&dir)
+            };
+            let Err(err) = Server::start(options) else {
+                panic!("a daemon with zero shards per job must not start");
+            };
+            assert!(err.to_string().contains("shard count must be at least 1"), "{err}");
+        }
+        assert!(!dir.exists(), "refused before the spool is opened");
     }
 }

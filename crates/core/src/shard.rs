@@ -1,4 +1,4 @@
-//! Crash-safe sharded campaigns: partition, supervise, merge.
+//! Crash-safe sharded campaigns: partition, run, merge.
 //!
 //! A fault-simulation campaign is embarrassingly partitionable — every
 //! per-fault verdict is self-contained — so a large fault list can be split
@@ -7,7 +7,7 @@
 //! merged back into one [`CampaignResult`] that is bit-identical to the
 //! unsharded run (locked in by tests).
 //!
-//! Three layers, usable separately:
+//! Four layers, usable separately:
 //!
 //! - [`partition`] / [`shard_info`] / [`shard_path`] — the deterministic
 //!   fault-list partition and the file-naming convention. Running shard `k`
@@ -16,10 +16,11 @@
 //! - [`run_shard`] — one shard as an independent, resumable campaign: the
 //!   shard file doubles as its checkpoint, and a damaged file is *healed*
 //!   (deleted and re-run from scratch) rather than fatal.
-//! - [`run_sharded`] — a local supervisor driving every shard with per-shard
-//!   timeouts, bounded retries with exponential backoff, and quarantine of
-//!   shards that keep failing (reported in [`ShardRun::quarantined`], never
-//!   silently dropped).
+//! - [`run_sharded`] — every shard on the calling thread, supervised by the
+//!   same lease table that hands shards to remote workers
+//!   ([`Dispatcher`](crate::Dispatcher)): bounded retries with exponential
+//!   backoff, and quarantine of shards that keep failing (reported in
+//!   [`ShardRun::quarantined`], never silently dropped).
 //! - [`merge_shards`] — the integrity-verified merge: every record is
 //!   checksum-validated ([`read_shard`](crate::checkpoint) is strict),
 //!   shard geometry must tile the fault list exactly (no missing, duplicate
@@ -30,21 +31,15 @@
 //!
 //! # Crash safety
 //!
-//! The supervisor gives each attempt its own scratch file
-//! (`shard-<k>.attempt-<n>.ckpt`), seeded by copying the best previous file
-//! forward, and only *renames* a finished attempt onto the canonical
-//! `shard-<k>.ckpt`. A timed-out worker thread cannot be killed in Rust; it
-//! is abandoned as a zombie, and because it only ever writes its own
-//! attempt's file (atomically, via the checkpoint writer's temp+rename), a
-//! zombie finishing late can never corrupt the canonical file or a newer
-//! attempt.
+//! [`run_sharded`] runs each shard in `<dir>/scratch/` and only *renames* a
+//! finished, strictly validated file onto the canonical `shard-<k>.ckpt`; a
+//! killed or interrupted run leaves its partial checkpoint in scratch, and
+//! the next run resumes it.
 
 use std::fs;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::{mpsc, Arc};
-use std::thread;
 use std::time::Duration;
 
 use moa_netlist::{Circuit, Fault};
@@ -55,8 +50,10 @@ use crate::budget::BudgetMeter;
 use crate::campaign::{
     aggregate, panic_message, try_run_campaign, CampaignAudit, CampaignOptions, CampaignResult,
 };
+use crate::canon::CanonHash;
 use crate::certificate::DetectionCertificate;
-use crate::checkpoint::{mismatch_message, read_shard, ShardInfo};
+use crate::checkpoint::{mismatch_message, read_shard, CheckpointHeader, ShardInfo};
+use crate::dispatch::{DispatchOptions, Dispatcher, JobOutcome};
 use crate::error::Error;
 use crate::procedure::{simulate_fault_certified, FaultResult, FaultStatus, PartialBound};
 use crate::MoaOptions;
@@ -106,23 +103,13 @@ pub fn shard_path(dir: &Path, shard_id: usize) -> PathBuf {
     dir.join(format!("shard-{shard_id}.ckpt"))
 }
 
-/// Scratch path for one supervised attempt at a shard.
-fn attempt_path(dir: &Path, shard_id: usize, attempt: usize) -> PathBuf {
-    dir.join(format!("shard-{shard_id}.attempt-{attempt}.ckpt"))
-}
-
-/// Supervision knobs for [`run_sharded`].
+/// The partition and attempt budget of [`run_sharded`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardOptions {
     /// Number of shards to partition the fault list into.
     pub shards: usize,
     /// Directory for the shard files (created if missing).
     pub dir: PathBuf,
-    /// Wall-clock limit per attempt; a shard still running after this long
-    /// is abandoned (its worker thread becomes a detached zombie that can
-    /// only touch its own attempt file) and retried. `None` runs each
-    /// attempt inline without a limit.
-    pub timeout: Option<Duration>,
     /// Retries after the first failed attempt before the shard is
     /// quarantined (so a shard gets `retries + 1` attempts in total).
     pub retries: usize,
@@ -132,13 +119,12 @@ pub struct ShardOptions {
 }
 
 impl ShardOptions {
-    /// Supervision of `shards` shards in `dir` with the default policy:
-    /// no per-attempt timeout, 5 retries, 10 ms base backoff.
+    /// `shards` shards in `dir` with the default policy: 5 retries, 10 ms
+    /// base backoff.
     pub fn new(shards: usize, dir: impl Into<PathBuf>) -> Self {
         ShardOptions {
             shards,
             dir: dir.into(),
-            timeout: None,
             retries: 5,
             backoff: Duration::from_millis(10),
         }
@@ -159,8 +145,6 @@ pub struct ShardFailure {
 /// What [`run_sharded`] produced.
 #[derive(Debug)]
 pub struct ShardRun {
-    /// Per-shard campaign results; `None` for quarantined shards.
-    pub results: Vec<Option<CampaignResult>>,
     /// Canonical shard files written by the successful shards, in shard
     /// order — the input for [`merge_shards`].
     pub files: Vec<PathBuf>,
@@ -190,42 +174,22 @@ pub fn run_shard(
     shard_id: usize,
     dir: &Path,
 ) -> Result<CampaignResult, Error> {
-    validate_shard_request(shards, shard_id)?;
-    fs::create_dir_all(dir).map_err(|e| Error::Shard {
-        shard_id,
-        message: format!("cannot create shard directory {}: {e}", dir.display()),
-    })?;
-    run_shard_at(circuit, seq, faults, base, shards, shard_id, &shard_path(dir, shard_id))
-}
-
-fn validate_shard_request(shards: usize, shard_id: usize) -> Result<(), Error> {
     if shards == 0 || shard_id >= shards {
         return Err(Error::Shard {
             shard_id,
             message: format!("shard id {shard_id} out of range for {shards} shard(s)"),
         });
     }
-    Ok(())
-}
-
-/// [`run_shard`] against an explicit file (the supervisor's per-attempt
-/// scratch files). Assumes the request is validated and the directory
-/// exists.
-#[allow(clippy::too_many_arguments)]
-fn run_shard_at(
-    circuit: &Circuit,
-    seq: &TestSequence,
-    faults: &[Fault],
-    base: &CampaignOptions,
-    shards: usize,
-    shard_id: usize,
-    path: &Path,
-) -> Result<CampaignResult, Error> {
+    fs::create_dir_all(dir).map_err(|e| Error::Shard {
+        shard_id,
+        message: format!("cannot create shard directory {}: {e}", dir.display()),
+    })?;
     fail_hit!("fp/shard.run");
+    let path = shard_path(dir, shard_id);
     let info = shard_info(faults.len(), shards, shard_id);
     let slice = &faults[info.offset as usize..(info.offset + info.len) as usize];
     let mut opts = base.clone();
-    opts.checkpoint = Some(path.to_owned());
+    opts.checkpoint = Some(path.clone());
     opts.resume = path.exists();
     opts.shard = Some(info);
     let first = try_run_campaign(circuit, seq, slice, &opts);
@@ -235,7 +199,7 @@ fn run_shard_at(
         // Lesser damage never lands here — the resume reader skips corrupt
         // records with a warning and re-simulates those faults.
         Err(Error::Checkpoint { .. }) if opts.resume => {
-            let _ = fs::remove_file(path);
+            let _ = fs::remove_file(&path);
             opts.resume = false;
             try_run_campaign(circuit, seq, slice, &opts)
         }
@@ -243,11 +207,15 @@ fn run_shard_at(
     }
 }
 
-/// Runs every shard of the [`partition`] under supervision: per-attempt
-/// timeouts, bounded retries with exponential backoff, quarantine after the
-/// retries are exhausted. Quarantined shards are *reported*; the other
-/// shards still run to completion, so a single pathological shard cannot
-/// take the campaign down.
+/// Runs every shard of the [`partition`] on the calling thread, supervised
+/// by a private [`Dispatcher`]: a shard that errors, panics or writes a file
+/// failing strict validation is retried after an exponential backoff, and
+/// quarantined once it has used `retries + 1` attempts. Quarantined shards
+/// are *reported*; the other shards still run to completion, so a single
+/// pathological shard cannot take the campaign down. Complete shard files
+/// already in the directory are adopted, and a tripped `base.cancel`
+/// returns [`Error::Interrupted`] with the interrupted shard's progress
+/// kept for a rerun to resume.
 ///
 /// Pair with [`merge_shards`] (which insists on a complete partition) to
 /// recover the unsharded campaign's exact result.
@@ -258,202 +226,35 @@ pub fn run_sharded(
     base: &CampaignOptions,
     options: &ShardOptions,
 ) -> Result<ShardRun, Error> {
-    validate_shard_request(options.shards, 0)?;
-    fs::create_dir_all(&options.dir).map_err(|e| Error::Shard {
-        shard_id: 0,
-        message: format!("cannot create shard directory {}: {e}", options.dir.display()),
-    })?;
-    // One owned copy of the inputs, shared with worker threads. Timed-out
-    // workers outlive their attempt (zombies), so borrows are not enough.
-    let shared = Arc::new(SharedInputs {
-        circuit: circuit.clone(),
-        seq: seq.clone(),
-        faults: faults.to_vec(),
-        base: base.clone(),
-        shards: options.shards,
-    });
-    let mut run = ShardRun {
-        results: Vec::with_capacity(options.shards),
-        files: Vec::new(),
-        quarantined: Vec::new(),
-        retries_used: 0,
+    let policy = DispatchOptions {
+        attempts: u32::try_from(options.retries.saturating_add(1)).unwrap_or(u32::MAX),
+        backoff: options.backoff,
+        ..DispatchOptions::default()
     };
-    // Cooperative cancellation (the daemon's drain, an operator interrupt):
-    // checked before each shard launches, and honored mid-shard because the
-    // per-shard campaign carries the same probe. Completed shards keep their
-    // published files; an interrupted shard publishes its partial checkpoint
-    // so a rerun resumes it instead of restarting.
-    let done_so_far = |run: &ShardRun| -> usize {
-        run.results
-            .iter()
-            .flatten()
-            .map(|r| r.total_faults)
-            .sum()
+    let dispatcher = Dispatcher::new(options.shards, policy)?;
+    // The table is private, so any key names the job, and no remote worker
+    // ever reads its spec text.
+    let job = CanonHash(0);
+    let header = CheckpointHeader {
+        circuit: circuit.name().to_owned(),
+        total_faults: faults.len(),
+        seq_len: seq.len(),
     };
-    for shard_id in 0..options.shards {
-        if base.cancel.as_ref().is_some_and(|probe| probe()) {
-            return Err(Error::Interrupted {
-                completed: done_so_far(&run),
-                total: faults.len(),
-            });
-        }
-        let canonical = shard_path(&options.dir, shard_id);
-        let attempts = options.retries + 1;
-        let mut outcome = None;
-        let mut last_error = String::new();
-        for attempt in 1..=attempts {
-            let scratch = attempt_path(&options.dir, shard_id, attempt);
-            seed_attempt(&canonical, &options.dir, shard_id, attempt, &scratch);
-            match run_attempt(&shared, shard_id, &scratch, options.timeout) {
-                Ok(result) => {
-                    // Publish atomically: the canonical file changes only
-                    // here, never under a worker's pen.
-                    match fs::rename(&scratch, &canonical) {
-                        Ok(()) => {
-                            outcome = Some(result);
-                            break;
-                        }
-                        Err(e) => {
-                            last_error =
-                                format!("cannot publish shard file {}: {e}", canonical.display());
-                        }
-                    }
-                }
-                // An interrupted attempt is not a failure: the worker
-                // checkpointed and stopped on request. Publish the partial
-                // file (it seeds the rerun's resume) and stop supervising —
-                // retrying would defeat the cancellation.
-                Err(Error::Interrupted { completed, .. }) => {
-                    let _ = fs::rename(&scratch, &canonical);
-                    for n in 1..=attempts {
-                        let _ = fs::remove_file(attempt_path(&options.dir, shard_id, n));
-                    }
-                    return Err(Error::Interrupted {
-                        completed: done_so_far(&run) + completed,
-                        total: faults.len(),
-                    });
-                }
-                Err(e) => last_error = e.to_string(),
-            }
-            if attempt < attempts {
-                run.retries_used += 1;
-                thread::sleep(backoff_delay(options.backoff, attempt));
-            }
-        }
-        for attempt in 1..=attempts {
-            let _ = fs::remove_file(attempt_path(&options.dir, shard_id, attempt));
-        }
-        if let Some(result) = outcome {
-            run.files.push(canonical);
-            run.results.push(Some(result));
-        } else {
-            run.quarantined.push(ShardFailure {
-                shard_id,
-                attempts,
-                last_error,
-            });
-            run.results.push(None);
-        }
-    }
-    Ok(run)
-}
-
-struct SharedInputs {
-    circuit: Circuit,
-    seq: TestSequence,
-    faults: Vec<Fault>,
-    base: CampaignOptions,
-    shards: usize,
-}
-
-/// The delay before retrying after failed attempt `attempt` (1-based):
-/// `base * 2^(attempt-1)`, with the doubling capped at `2^16` so large
-/// retry counts cannot overflow the shift, and the product saturating.
-/// Shared by the in-process shard supervisor and the dispatch lease table.
-pub(crate) fn backoff_delay(base: Duration, attempt: usize) -> Duration {
-    base.saturating_mul(1u32 << attempt.saturating_sub(1).min(16))
-}
-
-/// Copies the best prior state onto this attempt's scratch file so a retry
-/// resumes instead of restarting: the canonical file if one was ever
-/// published, else the most recent earlier attempt's leftovers.
-fn seed_attempt(canonical: &Path, dir: &Path, shard_id: usize, attempt: usize, scratch: &Path) {
-    let _ = fs::remove_file(scratch);
-    let seed = if canonical.exists() {
-        Some(canonical.to_owned())
-    } else {
-        (1..attempt)
-            .rev()
-            .map(|n| attempt_path(dir, shard_id, n))
-            .find(|p| p.exists())
+    dispatcher.register_job(job, header, options.dir.clone(), String::new())?;
+    let retries_used = dispatcher.run_in_process(job, circuit, seq, faults, base)?;
+    let quarantined = match dispatcher.wait_job(job, || false)? {
+        JobOutcome::Done(_) => Vec::new(),
+        JobOutcome::Quarantined(failures) => failures,
     };
-    if let Some(seed) = seed {
-        // Best effort: an unreadable seed just means a fresh start.
-        let _ = fs::copy(seed, scratch);
-    }
-}
-
-/// One supervised attempt. Panics become [`Error::Shard`]; with a timeout
-/// the attempt runs on a watched thread and an overdue worker is abandoned.
-fn run_attempt(
-    shared: &Arc<SharedInputs>,
-    shard_id: usize,
-    path: &Path,
-    timeout: Option<Duration>,
-) -> Result<CampaignResult, Error> {
-    let run = move |inputs: &SharedInputs, path: &Path| {
-        run_shard_at(
-            &inputs.circuit,
-            &inputs.seq,
-            &inputs.faults,
-            &inputs.base,
-            inputs.shards,
-            shard_id,
-            path,
-        )
-    };
-    let Some(limit) = timeout else {
-        return flatten_attempt(shard_id, catch_unwind(AssertUnwindSafe(|| run(shared, path))));
-    };
-    let (tx, rx) = mpsc::channel();
-    let worker_inputs = Arc::clone(shared);
-    let worker_path = path.to_owned();
-    let spawned = thread::Builder::new()
-        .name(format!("moa-shard-{shard_id}"))
-        .spawn(move || {
-            let result =
-                catch_unwind(AssertUnwindSafe(|| run(&worker_inputs, &worker_path)));
-            let _ = tx.send(result);
-        });
-    if let Err(e) = spawned {
-        return Err(Error::Shard {
-            shard_id,
-            message: format!("cannot spawn shard worker: {e}"),
-        });
-    }
-    match rx.recv_timeout(limit) {
-        Ok(result) => flatten_attempt(shard_id, result),
-        Err(mpsc::RecvTimeoutError::Timeout) => Err(Error::Shard {
-            shard_id,
-            message: format!("timed out after {limit:?}"),
-        }),
-        Err(mpsc::RecvTimeoutError::Disconnected) => Err(Error::Shard {
-            shard_id,
-            message: "shard worker died without reporting a result".into(),
-        }),
-    }
-}
-
-type AttemptOutcome = Result<Result<CampaignResult, Error>, Box<dyn std::any::Any + Send>>;
-
-fn flatten_attempt(shard_id: usize, outcome: AttemptOutcome) -> Result<CampaignResult, Error> {
-    match outcome {
-        Ok(inner) => inner,
-        Err(payload) => Err(Error::Shard {
-            shard_id,
-            message: format!("shard worker panicked: {}", panic_message(payload.as_ref())),
-        }),
-    }
+    let files = (0..options.shards)
+        .filter(|&k| quarantined.iter().all(|q| q.shard_id != k))
+        .map(|k| shard_path(&options.dir, k))
+        .collect();
+    Ok(ShardRun {
+        files,
+        quarantined,
+        retries_used,
+    })
 }
 
 /// What [`merge_shards`] produced.
@@ -761,6 +562,8 @@ mod tests {
     use crate::budget::FaultBudget;
     use crate::campaign::run_campaign;
     use moa_netlist::{full_fault_list, parse_bench};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Arc, Mutex};
 
     fn toggle() -> Circuit {
         parse_bench(
@@ -778,17 +581,6 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).expect("create temp dir");
         dir
-    }
-
-    #[test]
-    fn backoff_doubles_per_attempt_and_caps_at_two_to_the_sixteenth() {
-        let base = Duration::from_millis(10);
-        assert_eq!(backoff_delay(base, 0), base, "attempt 0 saturates to the base");
-        assert_eq!(backoff_delay(base, 1), base);
-        assert_eq!(backoff_delay(base, 2), base * 2);
-        assert_eq!(backoff_delay(base, 17), base * (1 << 16));
-        assert_eq!(backoff_delay(base, 1000), base * (1 << 16), "the doubling is capped");
-        assert_eq!(backoff_delay(Duration::MAX, 3), Duration::MAX, "the product saturates");
     }
 
     #[test]
@@ -907,28 +699,45 @@ mod tests {
         // The probe is polled by the supervisor (before each shard) and by
         // each shard's campaign (before each batch); tripping it after a few
         // polls lands the interrupt mid-run, wherever that happens to be.
-        let polls = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let probe_polls = std::sync::Arc::clone(&polls);
+        // The hook records every fault the interrupted run simulated: the
+        // interrupt lands on a batch boundary, so each one finished and was
+        // checkpointed.
+        let polls = Arc::new(AtomicUsize::new(0));
+        let probe_polls = Arc::clone(&polls);
+        let finished: Arc<Mutex<Vec<Fault>>> = Arc::default();
+        let record = Arc::clone(&finished);
         let base = CampaignOptions {
             checkpoint_every: 2,
             threads: 1,
-            cancel: Some(std::sync::Arc::new(move || {
-                probe_polls.fetch_add(1, std::sync::atomic::Ordering::SeqCst) >= 2
-            })),
+            fault_hook: Some(Arc::new(move |_, fault: &Fault| record.lock().unwrap().push(*fault))),
+            cancel: Some(Arc::new(move || probe_polls.fetch_add(1, Ordering::SeqCst) >= 2)),
             ..CampaignOptions::new()
         };
         let err = run_sharded(&c, &seq, &faults, &base, &options)
             .expect_err("the tripped probe must interrupt the supervisor");
         assert!(matches!(err, Error::Interrupted { .. }), "{err}");
+        let finished = finished.lock().unwrap().clone();
+        assert!(!finished.is_empty(), "the interrupt must land after some work");
 
-        // Rerun without the probe: published shard files (complete and
-        // partial alike) seed resumes, and the merge is bit-identical.
+        // Rerun without the probe: the interrupted shard resumes from its
+        // scratch checkpoint instead of restarting, so no fault finished
+        // before the interrupt is simulated again, and the merge is
+        // bit-identical.
+        let simulated: Arc<Mutex<Vec<Fault>>> = Arc::default();
+        let record = Arc::clone(&simulated);
         let base = CampaignOptions {
             checkpoint_every: 2,
+            fault_hook: Some(Arc::new(move |_, fault: &Fault| record.lock().unwrap().push(*fault))),
             ..CampaignOptions::new()
         };
         let run = run_sharded(&c, &seq, &faults, &base, &options).expect("rerun");
         assert!(run.quarantined.is_empty(), "{:?}", run.quarantined);
+        let simulated = simulated.lock().unwrap().clone();
+        assert!(
+            simulated.iter().all(|fault| !finished.contains(fault)),
+            "resumed, not restarted: {finished:?} were finished, the rerun simulated {simulated:?}"
+        );
+        assert_eq!(simulated.len() + finished.len(), faults.len(), "every other fault ran once");
         let merged = merge_shards(&c, &seq, &faults, &base, &run.files).expect("merge");
         assert_eq!(merged.result, unsharded);
         assert_eq!(merged.records, faults.len());
@@ -1084,36 +893,6 @@ mod tests {
             assert!(failure.last_error.contains("panicked"), "{}", failure.last_error);
         }
         assert!(run.files.is_empty());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[cfg(feature = "failpoints")]
-    #[test]
-    fn overdue_shards_time_out_and_are_quarantined() {
-        use crate::failpoint::{self, ChaosSchedule, FailAction, SitePlan};
-        let _guard = failpoint::test_lock();
-        let c = toggle();
-        let seq = TestSequence::from_words(&["0", "0", "0"]).expect("valid sequence");
-        let faults = full_fault_list(&c);
-        let dir = temp_dir("timeout");
-        failpoint::install(ChaosSchedule::empty(7).with_site(
-            "fp/shard.run",
-            SitePlan::new(1.0, vec![FailAction::Delay(Duration::from_millis(500))]),
-        ));
-        let options = ShardOptions {
-            timeout: Some(Duration::from_millis(30)),
-            retries: 0,
-            ..ShardOptions::new(1, &dir)
-        };
-        let run = run_sharded(&c, &seq, &faults, &CampaignOptions::new(), &options)
-            .expect("supervision itself survives");
-        failpoint::clear();
-        assert_eq!(run.quarantined.len(), 1);
-        assert!(
-            run.quarantined[0].last_error.contains("timed out"),
-            "{}",
-            run.quarantined[0].last_error
-        );
         let _ = fs::remove_dir_all(&dir);
     }
 }

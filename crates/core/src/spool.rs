@@ -144,7 +144,6 @@ impl JobSpec {
         out.push_str(&format!("opt collapse {}\n", o.collapse));
         out.push_str(&format!("opt order {}\n", o.order.name()));
         out.push_str(&format!("opt isolate_panics {}\n", o.isolate_panics));
-        out.push_str(&format!("opt worker_retries {}\n", o.worker_retries));
         out.push_str(&format!("opt checkpoint_every {}\n", o.checkpoint_every));
         if let Some(deadline) = o.budget.deadline {
             out.push_str(&format!("opt deadline_ms {}\n", deadline.as_millis()));
@@ -262,7 +261,11 @@ fn apply_option(options: &mut CampaignOptions, key: &str, value: &str) -> Result
                 .ok_or_else(|| format!("unknown fault order `{value}`"))?;
         }
         "isolate_panics" => options.isolate_panics = flag(key, value)?,
-        "worker_retries" => options.worker_retries = num(key, value)?,
+        // Retired worker-respawn budget (the campaign's pull pool has no
+        // respawns): validated and dropped like `cone_bounded`.
+        "worker_retries" => {
+            num(key, value)?;
+        }
         "checkpoint_every" => options.checkpoint_every = num(key, value)?,
         "deadline_ms" => {
             options.budget.deadline =
@@ -673,6 +676,55 @@ mod tests {
         assert!(!parsed.to_text().contains("cone_bounded"), "the line is not written back");
         assert!(
             JobSpec::parse(&text.replace("opt cone_bounded false", "opt cone_bounded maybe"))
+                .is_err(),
+            "the retired line is still validated"
+        );
+    }
+
+    #[test]
+    fn spec_with_retired_worker_retries_line_parses_to_the_same_hash() {
+        // The default spec exactly as written before the worker-respawn
+        // budget was retired.
+        let text = concat!(
+            "moa-job-spec v1\n",
+            "bench 69\n",
+            "INPUT(r)\nOUTPUT(z)\nq = DFF(d)\nnq = NOT(q)\nd = AND(r, nq)\nz = BUFF(q)\n",
+            "seq 6\n",
+            "0\n0\n0\n",
+            "faults full\n",
+            "opt n_states 64\n",
+            "opt backward_implications true\n",
+            "opt implication_rounds 1\n",
+            "opt max_implication_runs 4096\n",
+            "opt check_condition_c true\n",
+            "opt backward_time_units 1\n",
+            "opt packed_resimulation false\n",
+            "opt include_final_time_unit false\n",
+            "opt static_learning false\n",
+            "opt degrade false\n",
+            "opt degrade_adaptive false\n",
+            "opt threads 0\n",
+            "opt differential false\n",
+            "opt screen true\n",
+            "opt prune_untestable false\n",
+            "opt collapse false\n",
+            "opt order natural\n",
+            "opt isolate_panics true\n",
+            "opt worker_retries 2\n",
+            "opt checkpoint_every 64\n",
+            "end\n",
+        );
+        let parsed = JobSpec::parse(text).expect("a pre-retirement spec still parses");
+        // The hash the writing release computed for this request.
+        assert_eq!(parsed.hash().to_string(), "2dfd90ad925f196e1251f7300abb9271");
+        assert_eq!(parsed.hash(), spec().hash());
+        assert_eq!(
+            parsed.to_text(),
+            text.replace("opt worker_retries 2\n", ""),
+            "only the retired line is dropped on write-back"
+        );
+        assert!(
+            JobSpec::parse(&text.replace("opt worker_retries 2", "opt worker_retries many"))
                 .is_err(),
             "the retired line is still validated"
         );
