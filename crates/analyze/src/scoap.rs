@@ -10,10 +10,9 @@
 //! These are **heuristics**, never proofs: a finite cost does not imply a
 //! fault is detectable and [`UNREACHABLE`](Testability::UNREACHABLE) does not
 //! replace the sound untestability screen
-//! ([`UntestableScreen`](crate::UntestableScreen)). The campaign uses them
-//! only to *order* faults (`--order scoap-hard-first` /
-//! `scoap-cheap-first`), which cannot change any verdict — results are
-//! stored by fault-list index.
+//! ([`UntestableScreen`](crate::UntestableScreen)). `moa analyze` reports
+//! them as per-fault detection-cost statistics; no campaign verdict reads
+//! them.
 
 use moa_netlist::{Circuit, Fault, FaultSite, GateKind, NetId};
 

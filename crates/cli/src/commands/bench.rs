@@ -3,11 +3,11 @@
 //!
 //! For each suite circuit the command times one **screened** campaign at a
 //! fixed thread count: packed parallel-fault conventional screening,
-//! differential conventional simulation, and the cone-bounded
-//! implication/resimulation engines. A second, untimed run repeats the
-//! configuration over the full fault list with collapsing and certificate
-//! auditing enabled and reports its `audit_failed` count — any nonzero value
-//! fails the command.
+//! differential conventional simulation, and the per-fault MOA procedure
+//! (backward implications, expansion, resimulation). A second, untimed run
+//! repeats the configuration over the full fault list with collapsing and
+//! certificate auditing enabled and reports its `audit_failed` count — any
+//! nonzero value fails the command.
 //!
 //! `--out FILE` writes a JSON report; `--check FILE` compares the screened
 //! faults/sec of this run against a previously committed report and fails on

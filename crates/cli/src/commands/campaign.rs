@@ -7,28 +7,28 @@ use std::time::Instant;
 
 use moa_core::{
     merge_shards, run_shard, run_sharded, shard_path, try_run_campaign, verdict_digest,
-    CampaignAudit, CampaignOptions, CampaignResult, FaultBudget, FaultOrder, MoaOptions,
-    ShardOptions,
+    CampaignOptions, CampaignResult, MoaOptions, ShardOptions,
 };
 use moa_netlist::{collapse_faults, full_fault_list, Circuit};
 use moa_sim::TestSequence;
 
 use crate::commands::{
-    audit_peeled, fault_budget_from_args, fault_order_from_args, moa_options_from_args,
-    screen_lanes_from_args, screen_threads_from_args, sequence_from_args, shard_retries_from_args,
-    shards_from_args,
+    audit_peeled, fault_budget_from_args, moa_options_from_args, screen_lanes_from_args,
+    screen_threads_from_args, sequence_from_args, shard_retries_from_args, shards_from_args,
 };
 use crate::{load_circuit, signals, ArgParser, CliError};
 
 const USAGE: &str = "usage: moa campaign <bench-file> [--words p,... | --random L [--seed S]] \
 [--baseline | --proposed | --both] [--n-states N] [--depth K] [--rounds R] [--budget B] \
 [--threads T] [--deadline-ms MS] [--work-limit W] [--max-frontier N] [--degrade] \
-[--degrade-adaptive] [--checkpoint FILE [--checkpoint-every N] [--resume]] \
+[--checkpoint FILE [--checkpoint-every N] [--resume]] \
 [--shards N [--shard-id K | --merge] [--shard-dir DIR] [--shard-retries R (default 5)]] \
-[--audit[=N]] [--chaos-seed S] [--collapse | --no-collapse] \
-[--order natural|scoap-hard-first|scoap-cheap-first|cone-cluster] [--packed] \
+[--audit[=N]] [--chaos-seed S] [--collapse | --no-collapse] [--packed] \
 [--differential] [--no-screen] [--screen-lanes 64|128|256] [--screen-threads T] [--learn] \
 [--prune-untestable] [--verbose]";
+
+const BASELINE: &str = "baseline [4] (expansion only)";
+const PROPOSED: &str = "proposed (backward implications)";
 
 pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     // `--audit[=N]` carries an optional inline value, which the flag parser
@@ -41,12 +41,11 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             "words", "random", "seed", "seq-file", "n-states", "depth", "rounds", "budget",
             "threads", "deadline-ms", "work-limit", "max-frontier", "checkpoint",
             "checkpoint-every", "chaos-seed", "shards", "shard-id", "shard-dir", "shard-retries",
-            "screen-lanes", "screen-threads", "order",
+            "screen-lanes", "screen-threads",
         ],
         &[
             "baseline", "proposed", "both", "collapse", "no-collapse", "packed", "differential",
-            "no-screen", "learn", "prune-untestable", "verbose", "resume", "degrade",
-            "degrade-adaptive", "merge",
+            "no-screen", "learn", "prune-untestable", "verbose", "resume", "degrade", "merge",
         ],
     )?;
     let circuit = load_circuit(parser.required(0, "bench file")?)?;
@@ -64,7 +63,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             "--collapse and --no-collapse contradict each other: pick one\n\n{USAGE}"
         )));
     }
-    let order = fault_order_from_args(&parser)?;
     let full = full_fault_list(&circuit);
     let faults = if parser.switch("no-collapse") || collapse {
         full
@@ -168,8 +166,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         )));
     }
 
-    let differential = parser.switch("differential");
-    let screen = !parser.switch("no-screen");
     let screen_lanes = screen_lanes_from_args(&parser)?;
     let screen_threads = screen_threads_from_args(&parser)?;
 
@@ -177,38 +173,40 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     // boundary and exits cleanly (see `report`). Second: force-quit.
     signals::install();
 
+    let proposed = CampaignOptions {
+        moa,
+        threads,
+        differential: parser.switch("differential"),
+        screen: !parser.switch("no-screen"),
+        screen_lanes,
+        screen_threads,
+        prune_untestable,
+        collapse,
+        budget: fault_budget,
+        checkpoint,
+        checkpoint_every,
+        resume,
+        audit,
+        cancel: Some(signals::cancel_flag()),
+        ..CampaignOptions::default()
+    };
+    let baseline = CampaignOptions {
+        moa: MoaOptions {
+            backward_implications: false,
+            ..proposed.moa.clone()
+        },
+        ..proposed.clone()
+    };
     if let Some(shards) = shards {
         if run_baseline && run_proposed {
             return Err(CliError::Usage(format!(
                 "--shards needs a single campaign: pick --baseline or --proposed\n\n{USAGE}"
             )));
         }
-        let (label, moa) = if run_baseline {
-            (
-                "baseline [4] (expansion only)",
-                MoaOptions {
-                    backward_implications: false,
-                    ..moa
-                },
-            )
+        let (label, opts) = if run_baseline {
+            (BASELINE, &baseline)
         } else {
-            ("proposed (backward implications)", moa)
-        };
-        let opts = CampaignOptions {
-            moa,
-            threads,
-            differential,
-            screen,
-            screen_lanes,
-            screen_threads,
-            prune_untestable,
-            collapse,
-            order,
-            budget: fault_budget,
-            checkpoint_every,
-            audit,
-            cancel: Some(signals::cancel_flag()),
-            ..CampaignOptions::default()
+            (PROPOSED, &proposed)
         };
         let mut options = ShardOptions::new(shards, shard_dir);
         options.retries = shard_retries_from_args(&parser, options.retries)?;
@@ -217,33 +215,14 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             merge_only,
             options,
         };
-        run_sharded_campaign(out, label, &circuit, &seq, &faults, &opts, &sharding)?;
+        run_sharded_campaign(out, label, &circuit, &seq, &faults, opts, &sharding)?;
     } else {
-        run_plain_campaigns(
-            out,
-            &parser,
-            &circuit,
-            &seq,
-            &faults,
-            PlainArgs {
-                moa,
-                threads,
-                differential,
-                screen,
-                screen_lanes,
-                screen_threads,
-                prune_untestable,
-                collapse,
-                order,
-                fault_budget,
-                checkpoint,
-                checkpoint_every,
-                resume,
-                audit,
-                run_baseline,
-                run_proposed,
-            },
-        )?;
+        if run_baseline {
+            report(out, BASELINE, &circuit, &seq, &faults, &baseline, &parser)?;
+        }
+        if run_proposed {
+            report(out, PROPOSED, &circuit, &seq, &faults, &proposed, &parser)?;
+        }
     }
     #[cfg(feature = "failpoints")]
     if moa_core::failpoint::is_armed() {
@@ -253,101 +232,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         for ((site, kind), count) in combos {
             writeln!(out, "    {site} {kind} x{count}")?;
         }
-    }
-    Ok(())
-}
-
-/// The non-shard flags feeding [`run_plain_campaigns`].
-struct PlainArgs {
-    moa: MoaOptions,
-    threads: usize,
-    differential: bool,
-    screen: bool,
-    screen_lanes: moa_core::ScreenLanes,
-    screen_threads: usize,
-    prune_untestable: bool,
-    collapse: bool,
-    order: FaultOrder,
-    fault_budget: FaultBudget,
-    checkpoint: Option<PathBuf>,
-    checkpoint_every: usize,
-    resume: bool,
-    audit: Option<CampaignAudit>,
-    run_baseline: bool,
-    run_proposed: bool,
-}
-
-/// The original single-process flow: baseline and/or proposed, in-process.
-fn run_plain_campaigns(
-    out: &mut dyn Write,
-    parser: &ArgParser,
-    circuit: &Circuit,
-    seq: &TestSequence,
-    faults: &[moa_netlist::Fault],
-    args: PlainArgs,
-) -> Result<(), CliError> {
-    let PlainArgs {
-        moa,
-        threads,
-        differential,
-        screen,
-        screen_lanes,
-        screen_threads,
-        prune_untestable,
-        collapse,
-        order,
-        fault_budget,
-        checkpoint,
-        checkpoint_every,
-        resume,
-        audit,
-        run_baseline,
-        run_proposed,
-    } = args;
-    if run_baseline {
-        let opts = CampaignOptions {
-            moa: MoaOptions {
-                backward_implications: false,
-                ..moa.clone()
-            },
-            threads,
-            differential,
-            screen,
-            screen_lanes,
-            screen_threads,
-            prune_untestable,
-            collapse,
-            order,
-            budget: fault_budget.clone(),
-            checkpoint: checkpoint.clone(),
-            checkpoint_every,
-            resume,
-            audit: audit.clone(),
-            cancel: Some(signals::cancel_flag()),
-            ..CampaignOptions::default()
-        };
-        report(out, "baseline [4] (expansion only)", circuit, seq, faults, &opts, parser)?;
-    }
-    if run_proposed {
-        let opts = CampaignOptions {
-            moa,
-            threads,
-            differential,
-            screen,
-            screen_lanes,
-            screen_threads,
-            prune_untestable,
-            collapse,
-            order,
-            budget: fault_budget,
-            checkpoint,
-            checkpoint_every,
-            resume,
-            audit,
-            cancel: Some(signals::cancel_flag()),
-            ..CampaignOptions::default()
-        };
-        report(out, "proposed (backward implications)", circuit, seq, faults, &opts, parser)?;
     }
     Ok(())
 }
@@ -1018,6 +902,7 @@ mod tests {
             &["--shards", "0"],
             &["--shards", "0", "--shard-id", "0"],
             &["--shards", "0", "--merge"],
+            &["--rounds", "0"],
         ] {
             let mut args = vec![
                 toggle_path(),
@@ -1169,33 +1054,8 @@ mod tests {
     }
 
     #[test]
-    fn collapse_and_order_never_move_the_verdict_digest() {
+    fn collapse_never_moves_the_verdict_digest() {
         let digest = |extra: &[&str]| -> String {
-            let mut v = vec![
-                toggle_path(),
-                "--words".into(),
-                "0,0,0".into(),
-                "--proposed".into(),
-                "--no-collapse".into(),
-            ];
-            v.extend(extra.iter().map(std::string::ToString::to_string));
-            let mut out = Vec::new();
-            run(&v, &mut out).unwrap();
-            let text = String::from_utf8(out).unwrap();
-            text.lines()
-                .find(|l| l.contains("verdict digest"))
-                .unwrap()
-                .split(':')
-                .nth(1)
-                .unwrap()
-                .trim()
-                .to_string()
-        };
-        // `--no-collapse` and `--collapse` both run the full fault list;
-        // in-campaign collapsing and every ordering heuristic must land on
-        // the same per-fault digest.
-        let base = digest(&[]);
-        let collapsed = |extra: &[&str]| -> String {
             let mut v = vec![
                 toggle_path(),
                 "--words".into(),
@@ -1216,15 +1076,11 @@ mod tests {
                 .trim()
                 .to_string()
         };
-        for extra in [
-            &["--collapse"][..],
-            &["--collapse", "--audit"],
-            &["--collapse", "--order", "scoap-hard-first"],
-        ] {
-            assert_eq!(base, collapsed(extra), "{extra:?} moved the digest");
-        }
-        for order in ["natural", "scoap-hard-first", "scoap-cheap-first", "cone-cluster"] {
-            assert_eq!(base, digest(&["--order", order]), "--order {order} moved the digest");
+        // `--no-collapse` and `--collapse` both run the full fault list;
+        // in-campaign collapsing must land on the same per-fault digest.
+        let base = digest(&["--no-collapse"]);
+        for extra in [&["--collapse"][..], &["--collapse", "--audit"]] {
+            assert_eq!(base, digest(extra), "{extra:?} moved the digest");
         }
     }
 
@@ -1257,11 +1113,11 @@ mod tests {
     }
 
     #[test]
-    fn collapse_flag_conflicts_and_bad_order_are_usage_errors() {
+    fn collapse_flag_conflicts_and_retired_flags_are_usage_errors() {
         for extra in [
             &["--collapse", "--no-collapse"][..],
-            &["--order", "fastest-first"],
-            &["--order", ""],
+            &["--order", "natural"],
+            &["--degrade-adaptive"],
         ] {
             let mut args = vec![toggle_path(), "--words".into(), "0,0,0".into(), "--proposed".into()];
             args.extend(extra.iter().map(std::string::ToString::to_string));
@@ -1315,35 +1171,6 @@ mod tests {
         };
         assert_eq!(digest(&plain), digest(&sharded));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn degrade_adaptive_implies_the_ladder_and_keeps_detections() {
-        let summary = |extra: &[&str]| -> String {
-            let mut v = vec![
-                toggle_path(),
-                "--words".into(),
-                "0,0,0".into(),
-                "--proposed".into(),
-                "--work-limit".into(),
-                "1".into(),
-            ];
-            v.extend(extra.iter().map(std::string::ToString::to_string));
-            let mut out = Vec::new();
-            run(&v, &mut out).unwrap();
-            String::from_utf8(out).unwrap()
-        };
-        let adaptive = summary(&["--degrade-adaptive"]);
-        assert!(adaptive.contains("degraded (partial)"), "{adaptive}");
-        assert!(adaptive.contains("coverage lower bound"), "{adaptive}");
-        let plain = summary(&["--degrade"]);
-        let detected = |text: &str| -> String {
-            text.lines()
-                .filter(|l| l.contains("detected total") || l.contains("conventional"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(detected(&plain), detected(&adaptive), "detections must not move");
     }
 
     #[test]

@@ -17,7 +17,7 @@ pub mod work;
 
 use std::time::Duration;
 
-use moa_core::{CampaignAudit, FaultBudget, FaultOrder, MoaOptions, ScreenLanes};
+use moa_core::{CampaignAudit, FaultBudget, MoaOptions, ScreenLanes};
 use moa_netlist::Circuit;
 use moa_sim::TestSequence;
 
@@ -99,13 +99,22 @@ pub(crate) fn audit_peeled(
 
 /// Builds [`MoaOptions`] from the campaign-style tuning flags
 /// (`--n-states`, `--depth`, `--rounds`, `--budget`, `--max-frontier`,
-/// `--packed`, `--learn`, `--degrade`, `--degrade-adaptive`). Flags the
-/// caller did not declare simply keep their defaults.
+/// `--packed`, `--learn`, `--degrade`). Flags the caller did not declare
+/// simply keep their defaults. `--rounds 0` is rejected: every backward
+/// implication runs at least one round.
 pub(crate) fn moa_options_from_args(parser: &ArgParser) -> Result<MoaOptions, CliError> {
+    let rounds = parser.num("rounds", 1usize)?;
+    if rounds == 0 {
+        return Err(CliError::Usage(
+            "--rounds must be at least 1: each backward implication runs one \
+             outputs->inputs and one inputs->outputs pass per round"
+                .into(),
+        ));
+    }
     let mut moa = MoaOptions::default()
         .with_n_states(parser.num("n-states", 64)?)
         .with_backward_time_units(parser.num("depth", 1)?)
-        .with_implication_rounds(parser.num("rounds", 1)?)
+        .with_implication_rounds(rounds)
         .with_max_implication_runs(parser.num("budget", 4096)?);
     moa.packed_resimulation = parser.switch("packed");
     moa.static_learning = parser.switch("learn");
@@ -116,12 +125,6 @@ pub(crate) fn moa_options_from_args(parser: &ArgParser) -> Result<MoaOptions, Cl
         moa = moa.with_max_frontier_states(states);
     }
     moa.degrade = parser.switch("degrade");
-    moa.degrade_adaptive = parser.switch("degrade-adaptive");
-    if moa.degrade_adaptive {
-        // The cost model only reorders the degradation ladder; asking for it
-        // implies the ladder itself.
-        moa.degrade = true;
-    }
     Ok(moa)
 }
 
@@ -216,18 +219,4 @@ pub(crate) fn screen_threads_from_args(parser: &ArgParser) -> Result<usize, CliE
         ));
     }
     Ok(threads)
-}
-
-/// `--order ORDER`, naming the schedule heuristic. Omitting the flag is
-/// natural (fault-list) order; verdicts never depend on the choice.
-pub(crate) fn fault_order_from_args(parser: &ArgParser) -> Result<FaultOrder, CliError> {
-    match parser.flag("order") {
-        None => Ok(FaultOrder::Natural),
-        Some(s) => FaultOrder::parse(s).ok_or_else(|| {
-            CliError::Usage(format!(
-                "--order expects natural, scoap-hard-first, scoap-cheap-first or \
-                 cone-cluster, got `{s}`"
-            ))
-        }),
-    }
 }

@@ -76,7 +76,7 @@ const SERVE_USAGE: &str = "usage: moa serve --spool DIR [--addr HOST:PORT] [--wo
 const SUBMIT_USAGE: &str = "usage: moa submit <bench-file> [--addr HOST:PORT | --spool DIR] \
 [--words p,... | --random L [--seed S] | --seq-file F] [--wait] [--n-states N] [--depth K] \
 [--rounds R] [--budget B] [--threads T] [--deadline-ms MS] [--work-limit W] [--max-frontier N] \
-[--audit[=N]] [--baseline] [--learn] [--prune-untestable] [--degrade] [--degrade-adaptive]";
+[--audit[=N]] [--baseline] [--learn] [--prune-untestable] [--degrade]";
 
 const STATUS_USAGE: &str = "usage: moa status [--addr HOST:PORT | --spool DIR] [--job HASH]";
 
@@ -808,7 +808,6 @@ pub fn run_submit(args: &[String], out: &mut dyn std::io::Write) -> Result<(), C
             "learn",
             "prune-untestable",
             "degrade",
-            "degrade-adaptive",
         ],
     )?;
     let circuit = load_circuit(parser.required(0, "bench file")?)?;

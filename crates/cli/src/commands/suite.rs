@@ -8,18 +8,17 @@ use moa_core::{run_campaign, CampaignAudit, CampaignOptions, FaultBudget, MoaOpt
 use moa_netlist::{collapse_faults, full_fault_list};
 use moa_tpg::random_sequence;
 
-use crate::commands::{fault_order_from_args, screen_lanes_from_args, screen_threads_from_args};
+use crate::commands::{screen_lanes_from_args, screen_threads_from_args};
 use crate::{ArgParser, CliError};
 
 const USAGE: &str = "usage: moa suite [NAME...] [--baseline-too] [--audit] [--degrade] \
-[--collapse] [--order natural|scoap-hard-first|scoap-cheap-first|cone-cluster] \
-[--work-limit W] [--screen-lanes 64|128|256] [--screen-threads T]";
+[--collapse] [--work-limit W] [--screen-lanes 64|128|256] [--screen-threads T]";
 
 pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let parser = ArgParser::parse(
         args,
         USAGE,
-        &["work-limit", "screen-lanes", "screen-threads", "order"],
+        &["work-limit", "screen-lanes", "screen-threads"],
         &["baseline-too", "audit", "degrade", "collapse"],
     )?;
     let filter = parser.positional();
@@ -36,7 +35,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let audit = parser.switch("audit");
     let degrade = parser.switch("degrade");
     let collapse = parser.switch("collapse");
-    let order = fault_order_from_args(&parser)?;
     let screen_lanes = screen_lanes_from_args(&parser)?;
     let screen_threads = screen_threads_from_args(&parser)?;
     let work_limit = parser
@@ -77,7 +75,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             screen_lanes,
             screen_threads,
             collapse,
-            order,
             ..CampaignOptions::new()
         };
         let proposed = run_campaign(&circuit, &seq, &faults, &options);
@@ -225,29 +222,6 @@ mod tests {
         // The full fault list is in play under --collapse, not the
         // pre-collapsed representatives.
         assert!(text.contains(" 584 "), "full s208 fault list: {text}");
-    }
-
-    #[test]
-    fn order_heuristics_keep_the_verdict_columns() {
-        let columns = |args: &[&str]| -> String {
-            let mut v: Vec<String> = vec!["s208".into()];
-            v.extend(args.iter().map(std::string::ToString::to_string));
-            let mut out = Vec::new();
-            run(&v, &mut out).unwrap();
-            String::from_utf8(out)
-                .unwrap()
-                .lines()
-                .map(|l| l.split("  (").next().unwrap().to_string())
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        let base = columns(&[]);
-        for order in ["scoap-hard-first", "scoap-cheap-first", "cone-cluster"] {
-            assert_eq!(base, columns(&["--order", order]), "--order {order}");
-        }
-        let mut out = Vec::new();
-        let err = run(&["s208".into(), "--order".into(), "bogus".into()], &mut out).unwrap_err();
-        assert!(err.to_string().contains("--order expects"), "{err}");
     }
 
     #[test]

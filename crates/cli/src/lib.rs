@@ -89,7 +89,7 @@ COMMANDS:          (<bench> is a .bench file path, or suite:NAME for an embedded
               [--checkpoint FILE [--checkpoint-every N] [--resume]]
               [--audit[=N]]                audit detections by certificate replay
               [--learn] [--prune-untestable]   static learning / untestability pruning
-              [--degrade] [--degrade-adaptive]   budget-trip degradation ladder
+              [--degrade]                  budget-trip degradation ladder
               [--shards N [--shard-id K | --merge] [--shard-dir DIR]
                [--shard-retries R]]         crash-safe sharded campaign
     tpg       <bench> [--max-length L] [--seed S] [--compact]  deterministic test generation

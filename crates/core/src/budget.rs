@@ -26,8 +26,6 @@
 //! conventional simulation alone concluded (a fault only reaches the budgeted
 //! stages after surviving conventional simulation undetected).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::PerfCounters;
@@ -105,61 +103,6 @@ impl std::str::FromStr for BudgetStage {
     }
 }
 
-/// Campaign-wide running statistics on how much the degradation ladder's
-/// fallback rung costs per fault, shared between worker threads.
-///
-/// The adaptive-degradation mode
-/// ([`MoaOptions::degrade_adaptive`](crate::MoaOptions::degrade_adaptive))
-/// uses the exponential moving average to *reorder* the ladder per fault:
-/// when the observed rung cost predicts the rung would blow through the
-/// per-fault work limit anyway, the rung is skipped and the fault drops
-/// straight to the conventional-only partial verdict. Skipping a rung never
-/// changes a detected verdict into a missed one — it only trades one sound
-/// lower bound for a cheaper, looser one.
-///
-/// The EMA uses α = 1/8 in integer arithmetic (`ema ← ema − ema/8 +
-/// sample/8`), seeded with the first sample, and is only consulted once at
-/// least [`LadderStats::MIN_SAMPLES`] faults have reported.
-#[derive(Debug)]
-pub(crate) struct LadderStats {
-    /// Exponential moving average of the rung's work-unit spend.
-    ema: AtomicU64,
-    /// Number of samples folded in so far.
-    samples: AtomicU64,
-}
-
-impl LadderStats {
-    /// Samples required before [`predicts_over`](Self::predicts_over) may
-    /// return `true`.
-    const MIN_SAMPLES: u64 = 4;
-
-    pub(crate) fn new() -> Self {
-        LadderStats { ema: AtomicU64::new(0), samples: AtomicU64::new(0) }
-    }
-
-    /// Folds one fault's observed rung spend into the moving average.
-    pub(crate) fn record(&self, spent: u64) {
-        let n = self.samples.fetch_add(1, Ordering::Relaxed);
-        if n == 0 {
-            self.ema.store(spent, Ordering::Relaxed);
-            return;
-        }
-        // fetch_update never fails with an always-Some closure; the retry
-        // loop just resolves races between worker threads.
-        let _ = self.ema.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |ema| {
-            Some(ema - ema / 8 + spent / 8)
-        });
-    }
-
-    /// `true` when enough samples exist and the average rung cost is far
-    /// (2×) beyond `max` — the signal that running the rung for this fault
-    /// would almost certainly just burn its budget slice.
-    pub(crate) fn predicts_over(&self, max: u64) -> bool {
-        self.samples.load(Ordering::Relaxed) >= Self::MIN_SAMPLES
-            && self.ema.load(Ordering::Relaxed) > max.saturating_mul(2)
-    }
-}
-
 /// Runtime meter charging work against one fault's [`FaultBudget`].
 ///
 /// Once exhausted it stays exhausted; callers bail out of their stage and the
@@ -174,11 +117,6 @@ pub struct BudgetMeter {
     spent: u64,
     charges_since_deadline_check: u32,
     exhausted: bool,
-    /// Shared campaign-wide ladder-cost statistics, present only when the
-    /// campaign runs with adaptive degradation. Not copied by
-    /// [`fresh_like`](Self::fresh_like) — rung meters must not consult or
-    /// feed the statistics they are being measured by.
-    ladder: Option<Arc<LadderStats>>,
     /// Performance tallies accumulated by the stages as they run; drained by
     /// the caller after the fault completes. Not part of the budget itself —
     /// the meter is simply the one object already threaded through every
@@ -196,7 +134,6 @@ impl BudgetMeter {
             spent: 0,
             charges_since_deadline_check: 0,
             exhausted: false,
-            ladder: None,
             perf: PerfCounters::new(),
         }
     }
@@ -276,32 +213,7 @@ impl BudgetMeter {
             spent: 0,
             charges_since_deadline_check: 0,
             exhausted: false,
-            ladder: None,
             perf: PerfCounters::new(),
-        }
-    }
-
-    /// Attaches shared adaptive-degradation statistics to this meter.
-    pub(crate) fn set_ladder(&mut self, stats: Arc<LadderStats>) {
-        self.ladder = Some(stats);
-    }
-
-    /// `true` when adaptive statistics predict that running the fallback
-    /// rung for this fault would exceed its work limit anyway. Always `false`
-    /// without attached statistics or without a work limit (deadlines are
-    /// wall-clock, not work units, so the EMA cannot speak to them).
-    pub(crate) fn rung_predicted_hopeless(&self) -> bool {
-        match (&self.ladder, self.max_work) {
-            (Some(stats), Some(max)) => stats.predicts_over(max),
-            _ => false,
-        }
-    }
-
-    /// Reports one fault's observed rung cost into the shared statistics,
-    /// if any are attached.
-    pub(crate) fn record_rung_cost(&self, spent: u64) {
-        if let Some(stats) = &self.ladder {
-            stats.record(spent);
         }
     }
 
@@ -394,44 +306,6 @@ mod tests {
         m.note_frontier(32);
         m.note_frontier(8);
         assert_eq!(m.perf.max_frontier, 32);
-    }
-
-    #[test]
-    fn ladder_stats_need_samples_before_predicting() {
-        let stats = LadderStats::new();
-        for _ in 0..3 {
-            stats.record(1_000_000);
-        }
-        assert!(!stats.predicts_over(10), "3 samples are not enough to predict");
-        stats.record(1_000_000);
-        assert!(stats.predicts_over(10));
-        assert!(!stats.predicts_over(1_000_000), "ema is not > 2x the limit");
-    }
-
-    #[test]
-    fn ladder_stats_ema_tracks_recent_costs() {
-        let stats = LadderStats::new();
-        stats.record(800);
-        for _ in 0..100 {
-            stats.record(8);
-        }
-        assert!(!stats.predicts_over(100), "ema must decay toward the cheap samples");
-    }
-
-    #[test]
-    fn meter_consults_ladder_only_with_a_work_limit() {
-        let stats = Arc::new(LadderStats::new());
-        for _ in 0..8 {
-            stats.record(1_000);
-        }
-        let mut limited = BudgetMeter::new(&FaultBudget::none().with_work_limit(10));
-        assert!(!limited.rung_predicted_hopeless(), "no ladder attached yet");
-        limited.set_ladder(Arc::clone(&stats));
-        assert!(limited.rung_predicted_hopeless());
-        let mut unlimited = BudgetMeter::unlimited();
-        unlimited.set_ladder(Arc::clone(&stats));
-        assert!(!unlimited.rung_predicted_hopeless(), "no work limit, nothing to predict");
-        assert!(limited.fresh_like().ladder.is_none(), "rung meters must not carry the stats");
     }
 
     #[test]

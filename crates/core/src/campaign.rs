@@ -21,13 +21,13 @@ use moa_sim::{
 };
 
 use crate::audit::{audit_certificate, AuditOptions, AuditStatus};
-use crate::budget::{BudgetMeter, FaultBudget, LadderStats};
+use crate::budget::{BudgetMeter, FaultBudget};
 use crate::certificate::DetectionCertificate;
 use crate::checkpoint::{
     read_checkpoint, read_checkpoint_sharded, write_checkpoint_v2, CheckpointHeader,
     CheckpointSkip, ShardInfo,
 };
-use crate::cones::{ConeCache, StateOverlap};
+use crate::cones::ConeCache;
 use crate::counters::{CounterAverages, Counters, PerfCounters};
 use crate::error::Error;
 use crate::procedure::{
@@ -71,61 +71,6 @@ impl Default for CampaignAudit {
             sample_rate: 1,
             options: AuditOptions::default(),
         }
-    }
-}
-
-/// Static fault-ordering strategies ([`CampaignOptions::order`]).
-///
-/// Ordering is a pure execution knob: results are stored by fault-list
-/// index, so every order produces bit-identical verdicts (and an identical
-/// request hash — see `canon`). What changes is the processing schedule:
-/// which faults hit the budget early, how checkpoint batches are composed,
-/// and how much locality consecutive faults share.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FaultOrder {
-    /// Fault-list order (the default).
-    #[default]
-    Natural,
-    /// Highest SCOAP detection cost first
-    /// ([`moa_analyze::Testability::fault_cost`]): front-load the faults
-    /// most likely to need the expensive expansion machinery.
-    ScoapHardFirst,
-    /// Lowest SCOAP detection cost first: bank the easy conventional
-    /// detections before spending budget on hard faults.
-    ScoapCheapFirst,
-    /// Group faults by state-variable cone cluster
-    /// ([`StateOverlap`]): consecutive faults touch overlapping logic, the
-    /// grouping the ERASER-style prefix-sharing work consumes.
-    ConeCluster,
-}
-
-impl FaultOrder {
-    /// Parses the CLI spelling (`natural`, `scoap-hard-first`,
-    /// `scoap-cheap-first`, `cone-cluster`).
-    pub fn parse(s: &str) -> Option<FaultOrder> {
-        match s {
-            "natural" => Some(FaultOrder::Natural),
-            "scoap-hard-first" => Some(FaultOrder::ScoapHardFirst),
-            "scoap-cheap-first" => Some(FaultOrder::ScoapCheapFirst),
-            "cone-cluster" => Some(FaultOrder::ConeCluster),
-            _ => None,
-        }
-    }
-
-    /// The canonical CLI spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultOrder::Natural => "natural",
-            FaultOrder::ScoapHardFirst => "scoap-hard-first",
-            FaultOrder::ScoapCheapFirst => "scoap-cheap-first",
-            FaultOrder::ConeCluster => "cone-cluster",
-        }
-    }
-}
-
-impl std::fmt::Display for FaultOrder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
     }
 }
 
@@ -219,9 +164,6 @@ pub struct CampaignOptions {
     /// uncollapsed run. Provenance and statistics land in
     /// [`CampaignResult::collapse`]. Off by default.
     pub collapse: bool,
-    /// Static processing order of the fault list ([`FaultOrder`]). Results
-    /// are stored by fault-list index, so ordering never changes a verdict.
-    pub order: FaultOrder,
     /// Per-fault resource budget (wall-clock deadline and/or work-unit
     /// ceiling). A fault exceeding it is abandoned with
     /// [`FaultStatus::BudgetExceeded`] — the campaign keeps going.
@@ -274,7 +216,6 @@ impl std::fmt::Debug for CampaignOptions {
             .field("screen_threads", &self.screen_threads)
             .field("prune_untestable", &self.prune_untestable)
             .field("collapse", &self.collapse)
-            .field("order", &self.order)
             .field("budget", &self.budget)
             .field("isolate_panics", &self.isolate_panics)
             .field("checkpoint", &self.checkpoint)
@@ -302,7 +243,6 @@ impl Default for CampaignOptions {
             screen_threads: 1,
             prune_untestable: false,
             collapse: false,
-            order: FaultOrder::Natural,
             budget: FaultBudget::none(),
             isolate_panics: true,
             checkpoint: None,
@@ -719,23 +659,16 @@ fn run_all(
             }
         }
     }
-    let mut pending: Vec<usize> = slots
+    let pending: Vec<usize> = slots
         .iter()
         .enumerate()
         .filter_map(|(i, slot)| slot.is_none().then_some(i))
         .collect();
-    order_pending(circuit, &cones, faults, options.order, &mut pending);
-
-    // Rung-cost statistics for adaptive degradation are campaign-wide: one
-    // accumulator shared by every fault's meter, so late faults can skip a
-    // rung the early faults proved hopeless.
-    let ladder = (options.moa.degrade && options.moa.degrade_adaptive)
-        .then(|| Arc::new(LadderStats::new()));
 
     if !options.collapse {
         run_stage(
-            circuit, seq, good, faults, options, frames, header, &cones,
-            ladder.as_ref(), &pending, slots, perf,
+            circuit, seq, good, faults, options, frames, header, &cones, &pending, slots,
+            perf,
         )?;
         // With nothing pending (a fully-resumed or fully-pruned campaign, or
         // an empty shard) the stage never flushed; a shard must still publish
@@ -765,8 +698,7 @@ fn run_all(
         .filter(|&i| rep_of[i] == i)
         .collect();
     run_stage(
-        circuit, seq, good, faults, options, frames, header, &cones,
-        ladder.as_ref(), &reps, slots, perf,
+        circuit, seq, good, faults, options, frames, header, &cones, &reps, slots, perf,
     )?;
 
     // Expansion: a member inherits its representative's status only when the
@@ -819,42 +751,9 @@ fn run_all(
     // publishes its file).
     flush(options, header, slots)?;
     run_stage(
-        circuit, seq, good, faults, options, frames, header, &cones,
-        ladder.as_ref(), &fallback, slots, perf,
+        circuit, seq, good, faults, options, frames, header, &cones, &fallback, slots, perf,
     )?;
     Ok(Some(report))
-}
-
-/// Permutes `pending` according to the configured [`FaultOrder`]. Every
-/// ordering ends with the original index as the tie-break, so the schedule
-/// is deterministic; verdicts are unaffected either way (results are stored
-/// by index).
-fn order_pending(
-    circuit: &Circuit,
-    cones: &ConeCache<'_>,
-    faults: &[Fault],
-    order: FaultOrder,
-    pending: &mut [usize],
-) {
-    match order {
-        FaultOrder::Natural => {}
-        FaultOrder::ScoapHardFirst | FaultOrder::ScoapCheapFirst => {
-            let t = moa_analyze::Testability::build(circuit);
-            let cost: Vec<u64> = faults
-                .iter()
-                .map(|f| t.fault_cost(circuit, f))
-                .collect();
-            if order == FaultOrder::ScoapHardFirst {
-                pending.sort_by_key(|&i| (std::cmp::Reverse(cost[i]), i));
-            } else {
-                pending.sort_by_key(|&i| (cost[i], i));
-            }
-        }
-        FaultOrder::ConeCluster => {
-            let overlap = StateOverlap::build(cones);
-            pending.sort_by_key(|&i| (overlap.fault_cluster(circuit, &faults[i]), i));
-        }
-    }
 }
 
 /// Publishes the campaign's completed slots to its checkpoint file, if it
@@ -883,7 +782,6 @@ fn run_stage(
     frames: Option<&GoodFrames>,
     header: &CheckpointHeader,
     cones: &ConeCache<'_>,
-    ladder: Option<&Arc<LadderStats>>,
     pending: &[usize],
     slots: &mut [Option<FaultResult>],
     perf: &mut PerfCounters,
@@ -915,7 +813,6 @@ fn run_stage(
             frames,
             &screened,
             cones,
-            ladder,
             batch,
             slots,
             perf,
@@ -974,7 +871,6 @@ fn run_batch(
     frames: Option<&GoodFrames>,
     screened: &[Option<Detection>],
     cones: &ConeCache<'_>,
-    ladder: Option<&Arc<LadderStats>>,
     batch: &[usize],
     slots: &mut [Option<FaultResult>],
     perf: &mut PerfCounters,
@@ -1009,9 +905,6 @@ fn run_batch(
                 return (result, PerfCounters::new());
             }
             let mut meter = BudgetMeter::new(&options.budget);
-            if let Some(stats) = ladder {
-                meter.set_ladder(Arc::clone(stats));
-            }
             let (mut result, certificate) = simulate_fault_cached(
                 circuit,
                 seq,
@@ -1771,75 +1664,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_degradation_is_inert_under_a_generous_budget() {
-        // With a budget no rung ever trips, the ladder is never entered, so
-        // the cost model must change nothing: results are fully identical.
-        let (c, seq) = toggle();
-        let faults = full_fault_list(&c);
-        let base = CampaignOptions {
-            moa: MoaOptions::default().with_degrade(true),
-            budget: FaultBudget::none().with_work_limit(1 << 20),
-            threads: 1,
-            ..Default::default()
-        };
-        let plain = run_campaign(&c, &seq, &faults, &base);
-        let adaptive = run_campaign(
-            &c,
-            &seq,
-            &faults,
-            &CampaignOptions {
-                moa: base.moa.clone().with_degrade_adaptive(true),
-                ..base
-            },
-        );
-        assert_eq!(plain, adaptive);
-        assert_eq!(plain.degraded, 0);
-    }
-
-    #[test]
-    fn adaptive_degradation_locks_the_detected_set_under_pressure() {
-        // Under a starvation budget the adaptive skip may relabel *how* a
-        // fault degraded, but which faults count as detected must not move:
-        // skipping only ever happens on rungs predicted to trip the budget.
-        let (c, seq) = toggle();
-        let faults = full_fault_list(&c);
-        let base = CampaignOptions {
-            moa: MoaOptions::default().with_degrade(true),
-            budget: FaultBudget::none().with_work_limit(1),
-            threads: 1,
-            audit: Some(CampaignAudit::default()),
-            ..Default::default()
-        };
-        let plain = run_campaign(&c, &seq, &faults, &base);
-        let adaptive = run_campaign(
-            &c,
-            &seq,
-            &faults,
-            &CampaignOptions {
-                moa: base.moa.clone().with_degrade_adaptive(true),
-                ..base
-            },
-        );
-        assert_eq!(plain.total_faults, adaptive.total_faults);
-        assert_eq!(plain.conventional, adaptive.conventional);
-        assert_eq!(plain.detected_total(), adaptive.detected_total());
-        for (index, (p, a)) in plain
-            .statuses
-            .iter()
-            .zip(&adaptive.statuses)
-            .enumerate()
-        {
-            assert_eq!(
-                p.is_detected(),
-                a.is_detected(),
-                "fault {index} changed detection verdict under adaptive skipping"
-            );
-        }
-        assert_eq!(adaptive.audit_failed, 0);
-        assert_eq!(adaptive.budget_exceeded, 0, "trips still become partials");
-    }
-
-    #[test]
     fn resume_skips_corrupt_checkpoint_records_and_heals_them() {
         let (c, seq) = toggle();
         let faults = full_fault_list(&c);
@@ -2105,56 +1929,6 @@ mod tests {
             },
         );
         assert_eq!(plain, resumed, "interrupted collapse resumes bit-identically");
-    }
-
-    #[test]
-    fn fault_order_variants_never_move_the_verdicts() {
-        let (c, seq) = toggle();
-        let faults = full_fault_list(&c);
-        let reference = run_campaign(&c, &seq, &faults, &CampaignOptions::new());
-        for order in [
-            FaultOrder::Natural,
-            FaultOrder::ScoapHardFirst,
-            FaultOrder::ScoapCheapFirst,
-            FaultOrder::ConeCluster,
-        ] {
-            for collapse in [false, true] {
-                let ordered = run_campaign(
-                    &c,
-                    &seq,
-                    &faults,
-                    &CampaignOptions {
-                        collapse,
-                        order,
-                        ..Default::default()
-                    },
-                );
-                assert_eq!(
-                    reference, ordered,
-                    "{order} (collapse={collapse}) must not change results"
-                );
-                assert_eq!(
-                    crate::canon::verdict_digest(&reference),
-                    crate::canon::verdict_digest(&ordered),
-                    "{order} (collapse={collapse})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn fault_order_parses_its_own_names() {
-        for order in [
-            FaultOrder::Natural,
-            FaultOrder::ScoapHardFirst,
-            FaultOrder::ScoapCheapFirst,
-            FaultOrder::ConeCluster,
-        ] {
-            assert_eq!(FaultOrder::parse(order.name()), Some(order));
-            assert_eq!(order.to_string(), order.name());
-        }
-        assert_eq!(FaultOrder::parse("bogus"), None);
-        assert_eq!(FaultOrder::default(), FaultOrder::Natural);
     }
 
     #[test]

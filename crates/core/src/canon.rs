@@ -20,7 +20,7 @@
 //!   execution strategy knobs that are proven verdict-identical by the
 //!   parity test suite (thread count, packed vs scalar resimulation,
 //!   differential vs full-frame conventional simulation, screening,
-//!   cone bounding) are excluded, so a cached result can be reused across
+//!   fault collapsing) are excluded, so a cached result can be reused across
 //!   execution strategies. Defaulted and explicitly-spelled-out options
 //!   serialize identically because hashing happens after resolution.
 //!
@@ -197,7 +197,6 @@ fn hash_options(h: &mut Fnv128, options: &CampaignOptions) {
         static_learning,
         max_frontier_states,
         degrade,
-        degrade_adaptive,
     } = &options.moa;
     h.write_str("options-v1");
     h.write_u64(*n_states as u64);
@@ -216,7 +215,10 @@ fn hash_options(h: &mut Fnv128, options: &CampaignOptions) {
         }
     }
     h.write_bool(*degrade);
-    h.write_bool(*degrade_adaptive);
+    // The retired `degrade_adaptive` slot, always `false`. Keeping it keeps
+    // every request hash, and with it every spool job directory, equal to
+    // what it was before the option was removed.
+    h.write_bool(false);
     h.write_bool(options.prune_untestable);
     match options.budget.deadline {
         None => h.write_u64(0),
@@ -361,11 +363,10 @@ mod tests {
         neutral.screen_lanes = crate::ScreenLanes::L256;
         neutral.screen_threads = 4;
         neutral.moa.packed_resimulation = true;
-        // Collapse and ordering change the schedule, never the verdicts:
-        // both stay out of the request hash so a collapsed or reordered
-        // campaign can reuse (and be deduped against) the plain one.
+        // Collapse changes the schedule, never the verdicts: it stays out of
+        // the request hash so a collapsed campaign can reuse (and be deduped
+        // against) the plain one.
         neutral.collapse = true;
-        neutral.order = crate::campaign::FaultOrder::ScoapHardFirst;
         assert_eq!(base, request_hash(&c, &seq(), &faults, &neutral));
 
         let mut semantic = CampaignOptions::new();

@@ -9,7 +9,7 @@
 use std::sync::OnceLock;
 
 use moa_analyze::ImplicationDb;
-use moa_netlist::{frame_fanout_cone, Circuit, Driver, Fault, GateId, NetId};
+use moa_netlist::{frame_fanout_cone, Circuit, Driver, GateId, NetId};
 
 use crate::imply::ImplyRegion;
 
@@ -144,110 +144,6 @@ pub(crate) fn gate_driven(circuit: &Circuit, net: NetId) -> bool {
     matches!(circuit.driver(net), Driver::Gate(_))
 }
 
-/// Cone-overlap structure over the state variables: which flip-flops'
-/// within-frame fan-out cones share logic, and which cluster of mutually
-/// overlapping cones each gate belongs to.
-///
-/// Two state variables whose cones overlap contend for the same gates during
-/// backward implications and resimulation; faults inside one cluster touch a
-/// common region of the circuit. The campaign's `cone-cluster` fault order
-/// groups faults by cluster so that consecutive faults reuse warm regions,
-/// and the ERASER-style prefix-sharing work consumes the same grouping.
-#[derive(Debug, Clone)]
-pub struct StateOverlap {
-    /// Witness edges `(i, j)` with `i < j`, each from a gate lying in both
-    /// flip-flops' fan-out cones. Sparse on purpose: per shared gate the
-    /// lowest owner is linked to every other owner (not all pairs), which
-    /// spans the same connected components without a quadratic edge list.
-    /// Sorted lexicographically, deduplicated.
-    pub edges: Vec<(usize, usize)>,
-    /// Per-flip-flop cluster id: the smallest flip-flop index in the
-    /// connected component of the overlap graph.
-    pub cluster: Vec<usize>,
-    /// Per-gate cluster id; `usize::MAX` for gates outside every state cone
-    /// (pure primary-input logic).
-    gate_cluster: Vec<usize>,
-}
-
-impl StateOverlap {
-    /// Builds the overlap graph from `cache`'s per-flip-flop cones.
-    /// Deterministic: depends only on the circuit structure.
-    pub fn build(cache: &ConeCache<'_>) -> Self {
-        let circuit = cache.circuit();
-        let n_ffs = circuit.num_flip_flops();
-        // For each gate, the flip-flops whose cone contains it (ascending,
-        // since flip-flops are visited in index order).
-        let mut owners: Vec<Vec<usize>> = vec![Vec::new(); circuit.num_gates()];
-        for ff in 0..n_ffs {
-            for &gid in cache.state_fanout(ff) {
-                owners[gid.index()].push(ff);
-            }
-        }
-        let mut parent: Vec<usize> = (0..n_ffs).collect();
-        fn find(parent: &mut [usize], x: usize) -> usize {
-            let mut root = x;
-            while parent[root] != root {
-                root = parent[root];
-            }
-            let mut cur = x;
-            while parent[cur] != root {
-                let next = parent[cur];
-                parent[cur] = root;
-                cur = next;
-            }
-            root
-        }
-        let mut edges = Vec::new();
-        for ffs in &owners {
-            for pair in ffs.windows(2) {
-                // Chaining consecutive owners unions the whole set; recording
-                // the first owner against each later one keeps the edge list
-                // small while still witnessing every overlap.
-                edges.push((ffs[0], pair[1]));
-                let (a, b) = (find(&mut parent, pair[0]), find(&mut parent, pair[1]));
-                if a != b {
-                    parent[a.max(b)] = a.min(b);
-                }
-            }
-        }
-        edges.sort_unstable();
-        edges.dedup();
-        // Normalize each component to its smallest member.
-        let cluster: Vec<usize> = (0..n_ffs).map(|ff| find(&mut parent, ff)).collect();
-        let gate_cluster: Vec<usize> = owners
-            .iter()
-            .map(|ffs| {
-                ffs.iter()
-                    .map(|&ff| cluster[ff])
-                    .min()
-                    .unwrap_or(usize::MAX)
-            })
-            .collect();
-        StateOverlap {
-            edges,
-            cluster,
-            gate_cluster,
-        }
-    }
-
-    /// The cluster a fault belongs to: the cluster of the net its effect
-    /// first appears on. Faults in pure primary-input logic (no state cone
-    /// contains them) share the sentinel `usize::MAX`, sorting after every
-    /// real cluster.
-    pub fn fault_cluster(&self, circuit: &Circuit, fault: &Fault) -> usize {
-        let effect_net = match fault.site {
-            moa_netlist::FaultSite::Net(n) => n,
-            moa_netlist::FaultSite::GateInput { gate, .. } => circuit.gate(gate).output(),
-            moa_netlist::FaultSite::FlipFlopInput(ff) => circuit.flip_flop(ff).q(),
-        };
-        match circuit.driver(effect_net) {
-            Driver::Gate(g) => self.gate_cluster[g.index()],
-            Driver::FlipFlop(ff) => self.cluster[ff.index()],
-            Driver::PrimaryInput(_) => usize::MAX,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,51 +221,6 @@ mod tests {
         // Reuse with a smaller set shrinks the list.
         union_state_fanout(&cache, std::iter::once(1usize), &mut marked, &mut order);
         assert!(order.len() < c.num_gates());
-    }
-
-    #[test]
-    fn state_overlap_clusters_join_on_shared_gates() {
-        // q0 and q1 both reach the OR gate driving d0: one cluster.
-        let c = c1();
-        let cache = ConeCache::new(&c);
-        let overlap = StateOverlap::build(&cache);
-        assert_eq!(overlap.cluster, vec![0, 0]);
-        assert_eq!(overlap.edges, vec![(0, 1)]);
-    }
-
-    #[test]
-    fn disjoint_cones_stay_in_separate_clusters() {
-        // Two independent toggle registers observed at separate outputs:
-        // their cones never meet.
-        let mut b = CircuitBuilder::new("split");
-        b.add_input("a").unwrap();
-        b.add_input("b").unwrap();
-        b.add_flip_flop("q0", "d0").unwrap();
-        b.add_flip_flop("q1", "d1").unwrap();
-        b.add_gate(GateKind::Xor, "d0", &["a", "q0"]).unwrap();
-        b.add_gate(GateKind::Xor, "d1", &["b", "q1"]).unwrap();
-        b.add_output("q0");
-        b.add_output("q1");
-        let c = b.finish().unwrap();
-        let cache = ConeCache::new(&c);
-        let overlap = StateOverlap::build(&cache);
-        assert_eq!(overlap.cluster, vec![0, 1]);
-        assert!(overlap.edges.is_empty());
-        // Faults land in the cluster of the logic they touch.
-        let d0 = c.find_net("d0").unwrap();
-        let d1 = c.find_net("d1").unwrap();
-        assert_eq!(overlap.fault_cluster(&c, &moa_netlist::Fault::stem(d0, true)), 0);
-        assert_eq!(overlap.fault_cluster(&c, &moa_netlist::Fault::stem(d1, true)), 1);
-        // A primary-input fault belongs to no state cluster... unless its
-        // effect net is the input itself.
-        let a = c.find_net("a").unwrap();
-        assert_eq!(
-            overlap.fault_cluster(&c, &moa_netlist::Fault::stem(a, true)),
-            usize::MAX
-        );
-        // A q-net stem fault clusters with its flip-flop.
-        let q1 = c.find_net("q1").unwrap();
-        assert_eq!(overlap.fault_cluster(&c, &moa_netlist::Fault::stem(q1, true)), 1);
     }
 
     #[test]

@@ -148,7 +148,7 @@ pub use audit::{audit_certificate, AuditOptions, AuditStatus};
 pub use budget::{BudgetMeter, BudgetStage, FaultBudget};
 pub use campaign::{
     run_campaign, try_run_campaign, CampaignAudit, CampaignOptions, CampaignResult, CancelFlag,
-    CollapseReport, FaultHook, FaultOrder, PartialSummary,
+    CollapseReport, FaultHook, PartialSummary,
 };
 pub use moa_sim::ScreenLanes;
 pub use canon::{
@@ -163,7 +163,7 @@ pub use checkpoint::{
 };
 pub use collect::{collect_pairs, Collection, PairInfo, PairKey, SideEvidence};
 pub use condition::{condition_c_holds, n_out_profile, n_sv_profile};
-pub use cones::{ConeCache, StateOverlap};
+pub use cones::ConeCache;
 pub use counters::{CounterAverages, Counters, PerfCounters};
 pub use detect::detection_from_collection;
 pub use dispatch::{

@@ -92,15 +92,6 @@ pub struct MoaOptions {
     /// [`FaultStatus::PartialVerdict`](crate::FaultStatus::PartialVerdict)
     /// with a sound detection lower bound. Off by default.
     pub degrade: bool,
-    /// Adaptive ladder ordering: consult a campaign-wide running average of
-    /// the fallback rung's per-fault cost and, when the average predicts the
-    /// rung would blow through the fault's work limit anyway, skip the rung
-    /// and drop straight to the conventional-only partial verdict. The set of
-    /// *detected* faults is unchanged (a skipped rung can only loosen the
-    /// lower bound of an already-undecided fault, locked in by tests); only
-    /// wasted rung work is saved. Meaningful only together with
-    /// [`degrade`](Self::degrade) and a work limit. Off by default.
-    pub degrade_adaptive: bool,
 }
 
 impl MoaOptions {
@@ -118,7 +109,6 @@ impl MoaOptions {
             static_learning: false,
             max_frontier_states: None,
             degrade: false,
-            degrade_adaptive: false,
         }
     }
 
@@ -183,15 +173,6 @@ impl MoaOptions {
         self.degrade = enabled;
         self
     }
-
-    /// Returns a copy with adaptive ladder ordering enabled or disabled
-    /// (implies nothing on its own — see
-    /// [`degrade_adaptive`](Self::degrade_adaptive)).
-    #[must_use]
-    pub fn with_degrade_adaptive(mut self, enabled: bool) -> Self {
-        self.degrade_adaptive = enabled;
-        self
-    }
 }
 
 impl Default for MoaOptions {
@@ -216,7 +197,6 @@ mod tests {
         assert!(!o.static_learning);
         assert_eq!(o.max_frontier_states, None);
         assert!(!o.degrade);
-        assert!(!o.degrade_adaptive);
         assert_eq!(o, MoaOptions::new());
     }
 
@@ -229,8 +209,7 @@ mod tests {
             .with_backward_time_units(2)
             .with_static_learning(true)
             .with_max_frontier_states(32)
-            .with_degrade(true)
-            .with_degrade_adaptive(true);
+            .with_degrade(true);
         assert_eq!(o.n_states, 8);
         assert_eq!(o.implication_rounds, 3);
         assert_eq!(o.max_implication_runs, 10);
@@ -238,6 +217,5 @@ mod tests {
         assert!(o.static_learning);
         assert_eq!(o.max_frontier_states, Some(32));
         assert!(o.degrade);
-        assert!(o.degrade_adaptive);
     }
 }

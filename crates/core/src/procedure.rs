@@ -497,6 +497,25 @@ fn run_procedure(
     }
 }
 
+/// The options of the ladder's fallback rung: the expansion-only baseline
+/// of reference \[4] (no backward implications, no static learning) with
+/// `n_states` halved after the frontier cap, no frontier cap of its own and
+/// no further degradation. The merge's audit replay re-derives a ladder
+/// detection under exactly these options.
+pub(crate) fn fallback_rung_options(options: &MoaOptions) -> MoaOptions {
+    let capped = options
+        .max_frontier_states
+        .map_or(options.n_states, |cap| cap.min(options.n_states));
+    MoaOptions {
+        backward_implications: false,
+        static_learning: false,
+        n_states: (capped / 2).max(1),
+        max_frontier_states: None,
+        degrade: false,
+        ..options.clone()
+    }
+}
+
 /// The graceful-degradation ladder ([`MoaOptions::degrade`]): when the full
 /// procedure exhausted its budget, retry as the expansion-only baseline of
 /// reference \[4] — no backward implications (collection becomes nearly
@@ -523,35 +542,7 @@ fn degrade_ladder(
     let FaultStatus::BudgetExceeded { stage: tripped, .. } = out.0.status else {
         return out;
     };
-    // Adaptive ordering: when the campaign-wide average rung cost predicts
-    // this fault's budget slice could not carry the rung anyway, skip it and
-    // report the conventional-only bound directly.
-    if options.degrade_adaptive && meter.rung_predicted_hopeless() {
-        return (
-            FaultResult {
-                status: FaultStatus::PartialVerdict {
-                    lower_bound: PartialBound::Unknown,
-                    stage_reached: DegradeStage::Conventional,
-                    tripped,
-                    work_spent: meter.spent(),
-                },
-                counters: Counters::new(),
-                runs: out.0.runs,
-            },
-            None,
-        );
-    }
-    let capped = options
-        .max_frontier_states
-        .map_or(options.n_states, |cap| cap.min(options.n_states));
-    let rung_options = MoaOptions {
-        backward_implications: false,
-        static_learning: false,
-        n_states: (capped / 2).max(1),
-        max_frontier_states: None,
-        degrade: false,
-        ..options.clone()
-    };
+    let rung_options = fallback_rung_options(options);
     let mut rung_meter = meter.fresh_like();
     let (rung, rung_certificate) = run_expansion_stages(
         circuit,
@@ -567,7 +558,6 @@ fn degrade_ladder(
         want_certificate,
     );
     meter.absorb(&rung_meter);
-    meter.record_rung_cost(rung_meter.spent());
     let work_spent = meter.spent();
     let (lower_bound, stage_reached, certificate) = match rung.status {
         FaultStatus::BudgetExceeded { .. } => {

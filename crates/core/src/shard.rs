@@ -55,7 +55,9 @@ use crate::certificate::DetectionCertificate;
 use crate::checkpoint::{mismatch_message, read_shard, CheckpointHeader, ShardInfo};
 use crate::dispatch::{DispatchOptions, Dispatcher, JobOutcome};
 use crate::error::Error;
-use crate::procedure::{simulate_fault_certified, FaultResult, FaultStatus, PartialBound};
+use crate::procedure::{
+    fallback_rung_options, simulate_fault_certified, FaultResult, FaultStatus, PartialBound,
+};
 use crate::MoaOptions;
 
 /// Splits `total` faults into `shards` contiguous, near-equal ranges (the
@@ -508,7 +510,6 @@ fn replay_one(
         | FaultStatus::DetectedByExpansion { .. } => {
             let options = MoaOptions {
                 degrade: false,
-                degrade_adaptive: false,
                 ..moa.clone()
             };
             let mut meter = BudgetMeter::unlimited();
@@ -528,18 +529,7 @@ fn replay_one(
         } => {
             // The detection came from the degradation ladder's fallback
             // rung; replay under that rung's (weaker) options.
-            let capped = moa
-                .max_frontier_states
-                .map_or(moa.n_states, |cap| cap.min(moa.n_states));
-            let options = MoaOptions {
-                backward_implications: false,
-                static_learning: false,
-                n_states: (capped / 2).max(1),
-                max_frontier_states: None,
-                degrade: false,
-                degrade_adaptive: false,
-                ..moa.clone()
-            };
+            let options = fallback_rung_options(moa);
             let mut meter = BudgetMeter::unlimited();
             let (result, certificate) =
                 simulate_fault_certified(circuit, seq, good, fault, &options, None, &mut meter);
@@ -834,23 +824,44 @@ mod tests {
 
     #[test]
     fn merge_works_under_budgets_and_degradation() {
-        let c = toggle();
-        let seq = TestSequence::from_words(&["0", "0", "0"]).expect("valid sequence");
-        let faults = full_fault_list(&c);
+        // `moa campaign suite:s298 --random 64 --seed 7 --proposed --degrade
+        // --work-limit 300 --audit`: eight of its faults are detected only by
+        // the ladder's fallback rung, the one input that reaches the merge's
+        // rung replay.
+        let entry = moa_circuits::suite::entry("s298").expect("suite circuit");
+        let c = moa_netlist::parse_bench(&moa_netlist::write_bench(&entry.build()))
+            .expect("round trip");
+        let seq = moa_tpg::random_sequence(&c, 64, 7);
+        let faults = moa_netlist::collapse_faults(&c, &full_fault_list(&c))
+            .representatives()
+            .to_vec();
         let base = CampaignOptions {
             moa: MoaOptions::default().with_degrade(true),
-            budget: FaultBudget::none().with_work_limit(8),
+            budget: FaultBudget::none().with_work_limit(300),
             audit: Some(CampaignAudit::default()),
             ..CampaignOptions::new()
         };
         let unsharded = run_campaign(&c, &seq, &faults, &base);
-        let dir = temp_dir("degrade");
-        let run = run_sharded(&c, &seq, &faults, &base, &ShardOptions::new(3, &dir))
-            .expect("supervise");
-        assert!(run.quarantined.is_empty());
-        let merged = merge_shards(&c, &seq, &faults, &base, &run.files).expect("merge");
-        assert_eq!(merged.result, unsharded);
-        let _ = fs::remove_dir_all(&dir);
+        assert_eq!(
+            crate::canon::verdict_digest(&unsharded).to_string(),
+            "e8eae367b648f224190599e46ad1fedd"
+        );
+        assert_eq!(unsharded.partial_summary().detected, 8, "ladder detections");
+        for shards in [1, 3] {
+            for threads in [1, 2] {
+                let options = CampaignOptions { threads, ..base.clone() };
+                let dir = temp_dir(&format!("degrade-{shards}-{threads}"));
+                let run = run_sharded(&c, &seq, &faults, &options, &ShardOptions::new(shards, &dir))
+                    .expect("supervise");
+                assert!(run.quarantined.is_empty());
+                let merged = merge_shards(&c, &seq, &faults, &options, &run.files).expect("merge");
+                assert_eq!(merged.result, unsharded, "{shards} shard(s), {threads} thread(s)");
+                // Sample rate 1: every detection, the ladder's included, is
+                // replayed by the merge.
+                assert_eq!(merged.audited, unsharded.detected_total());
+                let _ = fs::remove_dir_all(&dir);
+            }
+        }
     }
 
     #[test]

@@ -93,6 +93,12 @@ impl JobSpec {
                 message: "the test sequence is empty".into(),
             });
         }
+        if options.moa.implication_rounds == 0 {
+            return Err(Error::Spool {
+                path: "<submission>".into(),
+                message: "option implication_rounds must be at least 1".into(),
+            });
+        }
         Ok(JobSpec {
             circuit,
             bench: bench.to_owned(),
@@ -136,13 +142,11 @@ impl JobSpec {
             out.push_str(&format!("opt max_frontier_states {states}\n"));
         }
         out.push_str(&format!("opt degrade {}\n", m.degrade));
-        out.push_str(&format!("opt degrade_adaptive {}\n", m.degrade_adaptive));
         out.push_str(&format!("opt threads {}\n", o.threads));
         out.push_str(&format!("opt differential {}\n", o.differential));
         out.push_str(&format!("opt screen {}\n", o.screen));
         out.push_str(&format!("opt prune_untestable {}\n", o.prune_untestable));
         out.push_str(&format!("opt collapse {}\n", o.collapse));
-        out.push_str(&format!("opt order {}\n", o.order.name()));
         out.push_str(&format!("opt isolate_panics {}\n", o.isolate_panics));
         out.push_str(&format!("opt checkpoint_every {}\n", o.checkpoint_every));
         if let Some(deadline) = o.budget.deadline {
@@ -250,15 +254,30 @@ fn apply_option(options: &mut CampaignOptions, key: &str, value: &str) -> Result
         "static_learning" => m.static_learning = flag(key, value)?,
         "max_frontier_states" => m.max_frontier_states = Some(num(key, value)?),
         "degrade" => m.degrade = flag(key, value)?,
-        "degrade_adaptive" => m.degrade_adaptive = flag(key, value)?,
+        // Retired adaptive degradation: its ladder let other faults' costs
+        // decide a fault's verdict. `false` is validated and dropped; `true`
+        // asks for semantics that no longer exist and is refused.
+        "degrade_adaptive" => {
+            if flag(key, value)? {
+                return Err(format!(
+                    "option {key}: adaptive degradation was removed; resubmit without it"
+                ));
+            }
+        }
         "threads" => options.threads = num(key, value)?,
         "differential" => options.differential = flag(key, value)?,
         "screen" => options.screen = flag(key, value)?,
         "prune_untestable" => options.prune_untestable = flag(key, value)?,
         "collapse" => options.collapse = flag(key, value)?,
+        // Retired fault-order schedule: it never moved a verdict or entered
+        // the request hash, so a known name is validated and dropped.
         "order" => {
-            options.order = crate::campaign::FaultOrder::parse(value)
-                .ok_or_else(|| format!("unknown fault order `{value}`"))?;
+            if !matches!(
+                value,
+                "natural" | "scoap-hard-first" | "scoap-cheap-first" | "cone-cluster"
+            ) {
+                return Err(format!("unknown fault order `{value}`"));
+            }
         }
         "isolate_panics" => options.isolate_panics = flag(key, value)?,
         // Retired worker-respawn budget (the campaign's pull pool has no
@@ -684,7 +703,8 @@ mod tests {
     #[test]
     fn spec_with_retired_worker_retries_line_parses_to_the_same_hash() {
         // The default spec exactly as written before the worker-respawn
-        // budget was retired.
+        // budget was retired. Its `order` and `degrade_adaptive` lines have
+        // been retired since.
         let text = concat!(
             "moa-job-spec v1\n",
             "bench 69\n",
@@ -720,14 +740,27 @@ mod tests {
         assert_eq!(parsed.hash(), spec().hash());
         assert_eq!(
             parsed.to_text(),
-            text.replace("opt worker_retries 2\n", ""),
-            "only the retired line is dropped on write-back"
+            text.replace("opt worker_retries 2\n", "")
+                .replace("opt degrade_adaptive false\n", "")
+                .replace("opt order natural\n", ""),
+            "only the retired lines are dropped on write-back"
         );
+        let with = |from: &str, to: &str| JobSpec::parse(&text.replace(from, to));
         assert!(
-            JobSpec::parse(&text.replace("opt worker_retries 2", "opt worker_retries many"))
-                .is_err(),
+            with("opt worker_retries 2", "opt worker_retries many").is_err(),
             "the retired line is still validated"
         );
+        let ordered = with("opt order natural", "opt order scoap-hard-first").expect("known order");
+        assert_eq!(ordered.hash(), parsed.hash(), "no order ever entered the hash");
+        assert!(with("opt order natural", "opt order bogus").is_err(), "unknown order");
+        assert!(
+            with("opt degrade_adaptive false", "opt degrade_adaptive maybe").is_err(),
+            "the retired flag is still validated"
+        );
+        let err = with("opt degrade_adaptive false", "opt degrade_adaptive true").unwrap_err();
+        let message = err.to_string();
+        assert!(message.contains("<spec>"), "located: {message}");
+        assert!(message.contains("degrade_adaptive"), "names the option: {message}");
     }
 
     #[test]
@@ -743,8 +776,17 @@ mod tests {
             JobSpec::parse(&text.replace("faults full", "faults some")).is_err(),
             "fault selector"
         );
+        assert!(
+            JobSpec::parse(&text.replace("opt implication_rounds 1", "opt implication_rounds 0"))
+                .is_err(),
+            "zero implication rounds"
+        );
         let err = JobSpec::new(TOGGLE, "00\n", CampaignOptions::new()).unwrap_err();
         assert!(err.to_string().contains("primary inputs"), "{err}");
+        let mut no_rounds = CampaignOptions::new();
+        no_rounds.moa.implication_rounds = 0;
+        let err = JobSpec::new(TOGGLE, "0\n", no_rounds).unwrap_err();
+        assert!(err.to_string().contains("implication_rounds"), "{err}");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   lines (which renumbers every internal net id), renaming the circuit's
 //!   display name, or spelling out defaulted options explicitly;
 //! - *execution-strategy* knobs proven verdict-neutral by the parity suite
-//!   (threads, packed resimulation, differential, screening, cone bounds)
+//!   (threads, packed resimulation, differential, screening)
 //!   never move it either — a cached verdict is reusable across them;
 //! - *semantic* changes always move it: option values the verdicts depend
 //!   on, the test sequence, and the fault list order (verdicts are

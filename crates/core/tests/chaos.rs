@@ -1,8 +1,8 @@
 //! Chaos soak: the whole campaign engine — screening, expansion, budgets,
-//! the degradation ladder, panic isolation, worker respawn, checkpoint
-//! write/resume — run under a deterministic failpoint schedule
-//! ([`moa_core::failpoint`]), with the process "killed" by injected
-//! checkpoint I/O errors and resumed until it completes.
+//! the degradation ladder, panic isolation, checkpoint write/resume — run
+//! under a deterministic failpoint schedule ([`moa_core::failpoint`]), with
+//! the process "killed" by injected checkpoint I/O errors and resumed until
+//! it completes.
 //!
 //! The contract asserted here is the resilience layer's soundness story:
 //!

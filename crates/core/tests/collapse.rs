@@ -10,9 +10,7 @@
 //! replaying inherited certificates against the member faults.
 
 use moa_circuits::suite::entry;
-use moa_core::{
-    run_campaign, CampaignAudit, CampaignOptions, CollapseAnalysis, FaultOrder,
-};
+use moa_core::{run_campaign, CampaignAudit, CampaignOptions, CollapseAnalysis};
 use moa_netlist::{full_fault_list, Circuit};
 use moa_sim::TestSequence;
 use moa_tpg::random_sequence;
@@ -72,30 +70,5 @@ fn collapsed_suite_campaign_is_bit_identical_and_audits_clean() {
             report.collapsed(),
             "{name}: {report:?}"
         );
-    }
-}
-
-#[test]
-fn ordered_suite_campaign_is_bit_identical() {
-    // SCOAP and cone-cluster ordering permute the schedule only; results
-    // are stored by fault-list index and must not move.
-    let (c, seq) = fixture("s298", 32);
-    let faults = full_fault_list(&c);
-    let reference = run_campaign(&c, &seq, &faults, &CampaignOptions::new());
-    for order in [
-        FaultOrder::ScoapHardFirst,
-        FaultOrder::ScoapCheapFirst,
-        FaultOrder::ConeCluster,
-    ] {
-        let ordered = run_campaign(
-            &c,
-            &seq,
-            &faults,
-            &CampaignOptions {
-                order,
-                ..CampaignOptions::new()
-            },
-        );
-        assert_eq!(reference, ordered, "{order} changed a result");
     }
 }
