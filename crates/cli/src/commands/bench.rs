@@ -17,9 +17,9 @@
 //! A separate *screening kernel* micro-benchmark isolates the packed
 //! parallel-fault pre-pass: the full fault list is screened once with the
 //! 64-lane single-threaded reference kernel and once at the configured
-//! `--screen-lanes`/`--screen-threads`, the detections are asserted
-//! bit-identical, and both throughputs (plus their ratio) are reported per
-//! circuit and in aggregate.
+//! `--screen-lanes`/`--screen-threads`, the detections and condition-(C)
+//! bits are asserted bit-identical, and both throughputs (plus their ratio)
+//! are reported per circuit and in aggregate.
 
 use std::io::Write;
 use std::time::Instant;
@@ -90,6 +90,13 @@ impl BenchRow {
     }
 }
 
+/// Whether two screens reached the same per-fault verdicts: detections and
+/// condition-(C) bits. Gate evaluations are charged per word pass and differ
+/// between lane widths by design.
+fn same_verdicts(a: &ScreenOutcome, b: &ScreenOutcome) -> bool {
+    a.detections == b.detections && a.condition_c == b.condition_c
+}
+
 /// Times one screening-kernel configuration. Sub-10ms runs are repeated and
 /// averaged so small circuits report a stable per-run time instead of timer
 /// noise.
@@ -105,7 +112,10 @@ fn time_kernel(mut run: impl FnMut() -> ScreenOutcome) -> (f64, ScreenOutcome) {
     let started = Instant::now();
     for _ in 0..reps {
         let repeat = run();
-        assert_eq!(repeat.detections, outcome.detections, "kernel must be deterministic");
+        assert!(
+            same_verdicts(&repeat, &outcome),
+            "kernel must be deterministic"
+        );
     }
     let ms = started.elapsed().as_secs_f64() * 1e3 / reps as f64;
     (ms, outcome)
@@ -206,14 +216,15 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         // Screening-kernel micro-benchmark: the same full fault list through
         // the packed pre-pass alone, at the 64-lane single-threaded
         // reference and at the configured width/threads. Identical
-        // detections are a hard requirement, not a statistic.
+        // detections and condition-(C) bits are a hard requirement, not a
+        // statistic.
         let good = simulate(&circuit, &seq, None);
         let (screen_base_ms, base_outcome) =
             time_kernel(|| screen_faults_wide(&circuit, &seq, &good, &faults, ScreenLanes::L64, 1));
         let (screen_wide_ms, wide_outcome) = time_kernel(|| {
             screen_faults_wide(&circuit, &seq, &good, &faults, screen_lanes, screen_threads)
         });
-        if wide_outcome.detections != base_outcome.detections {
+        if !same_verdicts(&wide_outcome, &base_outcome) {
             return Err(CliError::Failed(format!(
                 "{}: {screen_lanes}-lane x{screen_threads}-thread screening disagrees \
                  with the 64-lane reference kernel",

@@ -387,6 +387,57 @@ fn sharded_campaign_via_binary_is_bit_identical_to_unsharded() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A 68-byte shard file: the v2 magic and a header with a correct checksum
+/// declaring shard 0 of 1 covering 2^40 faults of `s208` (sequence length
+/// 8), with no records. A merge that sizes memory by the declared count
+/// aborts on a 2^40-byte allocation instead of failing cleanly.
+const OVERSIZED_SHARD_HEADER: &[u8] = b"moa-ckpt-v2\n\
+    \x30\x00\x00\x00\
+    \x04\x00\x00\x00s208\
+    \x00\x00\x00\x00\x00\x01\x00\x00\
+    \x08\x00\x00\x00\x00\x00\x00\x00\
+    \x00\x00\x00\x00\x01\x00\x00\x00\
+    \x00\x00\x00\x00\x00\x00\x00\x00\
+    \x00\x00\x00\x00\x00\x01\x00\x00\
+    \xbf\x9c\xb4\x6e";
+
+#[test]
+fn merge_of_an_oversized_shard_header_fails_cleanly() {
+    let dir = std::env::temp_dir().join(format!("moa-bin-test-oversized-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("shard-0.ckpt"), OVERSIZED_SHARD_HEADER).unwrap();
+    let out = moa()
+        .args([
+            "campaign",
+            "suite:s208",
+            "--random",
+            "8",
+            "--seed",
+            "1",
+            "--proposed",
+            "--shards",
+            "1",
+            "--shard-dir",
+            &dir.to_string_lossy(),
+            "--merge",
+        ])
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "a clean failure, not a signal: {err}"
+    );
+    assert!(
+        err.contains("shard-0.ckpt"),
+        "the error names the file: {err}"
+    );
+    assert!(err.contains("missing end-of-shard trailer"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn campaign_on_s27_detects_faults() {
     let out = moa()

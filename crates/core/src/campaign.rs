@@ -16,9 +16,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use moa_netlist::{Circuit, Fault};
-use moa_sim::{
-    screen_faults_wide, simulate, Detection, GoodFrames, ScreenLanes, SimTrace, TestSequence,
-};
+use moa_sim::{screen_faults_wide, simulate, GoodFrames, ScreenLanes, SimTrace, TestSequence};
 
 use crate::audit::{audit_certificate, AuditOptions, AuditStatus};
 use crate::budget::{BudgetMeter, FaultBudget};
@@ -127,13 +125,16 @@ pub struct CampaignOptions {
     /// (event-driven differential simulation). Identical results, less work
     /// per fault on large circuits.
     pub differential: bool,
-    /// Screen pending faults 64 at a time with the parallel-fault packed
-    /// kernel ([`moa_sim::screen_faults`]) before the per-fault procedure:
-    /// conventionally detected faults are dropped in batches and never enter
-    /// the expansion machinery. Verdicts are bit-identical to the scalar
-    /// conventional stage (each slot's detection is independent of its batch
-    /// mates), so results are unchanged — including across checkpoint/resume,
-    /// which screens only the still-unresolved faults. On by default.
+    /// Screen pending faults a word at a time with the parallel-fault packed
+    /// kernel ([`moa_sim::screen_faults_wide`]) before the per-fault
+    /// procedure: conventionally detected faults and, under
+    /// [`MoaOptions::check_condition_c`], undetected faults failing the
+    /// necessary condition (C) are dropped in batches. Only the (C)-passers
+    /// get a per-fault faulty trace and enter the expansion machinery.
+    /// Verdicts are bit-identical to the scalar conventional stage and (C)
+    /// check (each slot's verdict is independent of its batch mates), so
+    /// results are unchanged — including across checkpoint/resume, which
+    /// screens only the still-unresolved faults. On by default.
     pub screen: bool,
     /// Lane width of the screening kernel: 64 faults per `u64` word (the
     /// default), or 128/256 per `[u64; N]` block word
@@ -824,8 +825,11 @@ fn run_stage(
 
 /// Conventionally screens the still-unresolved faults a word at a time with
 /// the parallel-fault packed kernel, at the configured lane width and thread
-/// count. Returns each fault's earliest conventional detection, indexed by
-/// fault-list position; all `None` when screening is disabled. Each slot's
+/// count. Returns, indexed by fault-list position, the verdict the screen
+/// settled: the earliest conventional detection, or — when
+/// [`MoaOptions::check_condition_c`] is set — a condition-(C) skip for an
+/// undetected fault failing (C); `None` for a fault that needs the per-fault
+/// procedure, and everywhere when screening is disabled. Each slot's
 /// verdict depends only on its own fault, so the result is independent of
 /// batch composition, lane width, and thread count — a resumed campaign
 /// screening a different subset (or with different knobs) reaches identical
@@ -838,7 +842,7 @@ fn screen_pending(
     options: &CampaignOptions,
     pending: &[usize],
     perf: &mut PerfCounters,
-) -> Vec<Option<Detection>> {
+) -> Vec<Option<FaultStatus>> {
     let mut screened = vec![None; faults.len()];
     if !options.screen || pending.is_empty() {
         return screened;
@@ -851,8 +855,15 @@ fn screen_pending(
         options.screen_threads
     };
     let outcome = screen_faults_wide(circuit, seq, good, &batch, options.screen_lanes, threads);
-    for (&index, det) in pending.iter().zip(outcome.detections) {
-        screened[index] = det;
+    let verdicts = outcome.detections.into_iter().zip(outcome.condition_c);
+    for (&index, (det, condition_c)) in pending.iter().zip(verdicts) {
+        screened[index] = match det {
+            Some(det) => Some(FaultStatus::DetectedConventional(det)),
+            None if options.moa.check_condition_c && !condition_c => {
+                Some(FaultStatus::SkippedConditionC)
+            }
+            None => None,
+        };
     }
     perf.gate_evals += outcome.gate_evaluations;
     perf.screen_nanos += started.elapsed().as_nanos() as u64;
@@ -869,7 +880,7 @@ fn run_batch(
     faults: &[Fault],
     options: &CampaignOptions,
     frames: Option<&GoodFrames>,
-    screened: &[Option<Detection>],
+    screened: &[Option<FaultStatus>],
     cones: &ConeCache<'_>,
     batch: &[usize],
     slots: &mut [Option<FaultResult>],
@@ -888,18 +899,18 @@ fn run_batch(
                 hook(index, fault);
             }
             // The screening pre-pass already proved a conventional
-            // detection: the per-fault pipeline (including its conventional
-            // stage) is skipped entirely. The verdict — and, when sampled,
-            // the audited certificate — is exactly what the pipeline would
-            // have produced.
-            if let Some(det) = screened[index] {
+            // detection or a condition-(C) failure: the per-fault pipeline
+            // (including its conventional stage) is skipped entirely. The
+            // verdict — and, when sampled, the audited certificate — is
+            // exactly what the pipeline would have produced.
+            if let Some(status) = &screened[index] {
                 let mut result = FaultResult {
-                    status: FaultStatus::DetectedConventional(det),
+                    status: status.clone(),
                     counters: Counters::new(),
                     runs: 0,
                 };
-                if let Some(audit) = audit {
-                    let cert = DetectionCertificate::conventional(&det, good);
+                if let (Some(audit), FaultStatus::DetectedConventional(det)) = (audit, status) {
+                    let cert = DetectionCertificate::conventional(det, good);
                     apply_audit(circuit, seq, good, fault, &mut result, Some(&cert), audit);
                 }
                 return (result, PerfCounters::new());
@@ -1560,6 +1571,36 @@ mod tests {
         );
         assert_eq!(screened, unscreened, "screening must not change verdicts");
         assert!(screened.conventional > 0, "the screen had faults to drop");
+    }
+
+    /// The screen's condition-(C) skips follow
+    /// [`MoaOptions::check_condition_c`]: with the check off the screened
+    /// campaign skips nothing and equals the unscreened one; with the
+    /// default it skips some faults, exactly as the unscreened one does.
+    #[test]
+    fn screened_condition_c_skips_follow_the_option() {
+        let c = moa_circuits::iscas::s27();
+        let seq = moa_tpg::random_sequence(&c, 8, 7);
+        let faults = full_fault_list(&c);
+        let with_check = |check_condition_c: bool, screen: bool| {
+            let mut options = CampaignOptions {
+                screen,
+                ..Default::default()
+            };
+            options.moa.check_condition_c = check_condition_c;
+            run_campaign(&c, &seq, &faults, &options)
+        };
+
+        let screened = with_check(false, true);
+        assert_eq!(screened.skipped_condition_c, 0);
+        assert_eq!(screened, with_check(false, false));
+
+        let screened = with_check(true, true);
+        assert!(
+            screened.skipped_condition_c > 0,
+            "the screen had (C) failures to drop"
+        );
+        assert_eq!(screened, with_check(true, false));
     }
 
     #[test]

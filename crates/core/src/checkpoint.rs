@@ -57,6 +57,7 @@
 //! is a hard [`Error::Checkpoint`], because nothing in the body can be
 //! trusted without it.
 
+use std::collections::HashSet;
 use std::fs;
 use std::io::Write as _;
 use std::path::Path;
@@ -926,16 +927,15 @@ pub fn read_shard(path: &Path) -> Result<ShardFile, Error> {
     let bytes = fs::read(path).map_err(|e| err(None, format!("cannot read shard file: {e}")))?;
     let (header, shard, body_start) = read_v2_header(path, &bytes)?;
     let mut records: Vec<(u64, FaultResult)> = Vec::new();
-    let mut seen = vec![false; shard.len as usize];
+    // Sized by the records actually decoded, never by the header's declared
+    // shard length: a crafted header may declare any count.
+    let mut seen: HashSet<u64> = HashSet::new();
     let mut fatal: Option<Error> = None;
     let mut trailer: Option<u64> = None;
     walk_v2_body(&bytes, body_start, |item| match item {
         V2Item::Record(ordinal, at, decoded) => match decoded {
             Ok((global, result)) => {
-                let local = global
-                    .checked_sub(shard.offset)
-                    .filter(|&l| l < shard.len)
-                    .map(|l| l as usize);
+                let local = global.checked_sub(shard.offset).filter(|&l| l < shard.len);
                 match local {
                     None => {
                         fatal = Some(err(
@@ -949,7 +949,7 @@ pub fn read_shard(path: &Path) -> Result<ShardFile, Error> {
                         ));
                         false
                     }
-                    Some(local) if seen[local] => {
+                    Some(local) if !seen.insert(local) => {
                         fatal = Some(err(
                             Some(ordinal as usize),
                             format!(
@@ -959,8 +959,7 @@ pub fn read_shard(path: &Path) -> Result<ShardFile, Error> {
                         ));
                         false
                     }
-                    Some(local) => {
-                        seen[local] = true;
+                    Some(_) => {
                         records.push((global, result));
                         true
                     }
@@ -1039,6 +1038,22 @@ pub(crate) fn mismatch_message(found: &CheckpointHeader, expected: &CheckpointHe
         expected.seq_len
     )
 }
+
+/// A crafted 68-byte shard file: the v2 magic, then a header with a
+/// correct checksum declaring circuit `s208`, 2^40 faults, sequence length
+/// 8, and shard 0 of 1 covering all 2^40 faults — and no records. A reader
+/// that sizes memory by the declared shard length attempts a 2^40-byte
+/// allocation and aborts the process, beyond the reach of panic isolation.
+#[cfg(test)]
+pub(crate) const OVERSIZED_SHARD_HEADER: &[u8] = b"moa-ckpt-v2\n\
+    \x30\x00\x00\x00\
+    \x04\x00\x00\x00s208\
+    \x00\x00\x00\x00\x00\x01\x00\x00\
+    \x08\x00\x00\x00\x00\x00\x00\x00\
+    \x00\x00\x00\x00\x01\x00\x00\x00\
+    \x00\x00\x00\x00\x00\x00\x00\x00\
+    \x00\x00\x00\x00\x00\x01\x00\x00\
+    \xbf\x9c\xb4\x6e";
 
 #[cfg(test)]
 mod tests {
@@ -1293,6 +1308,33 @@ mod tests {
         // The strict merge reader refuses the same file at the first damage.
         let e = read_shard(&path).unwrap_err();
         assert!(e.to_string().contains("duplicate record for fault 0"), "{e}");
+    }
+
+    /// A header declaring 2^40 faults allocates nothing by that count: the
+    /// strict reader reports the missing records as a located error.
+    #[test]
+    fn oversized_shard_header_is_a_located_error() {
+        assert_eq!(OVERSIZED_SHARD_HEADER.len(), 68);
+        let dir = std::env::temp_dir().join(format!("moa-ckpt-oversized-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("shard-0.ckpt");
+        fs::write(&path, OVERSIZED_SHARD_HEADER).unwrap();
+        let (header, shard, _) = read_v2_header(&path, OVERSIZED_SHARD_HEADER).unwrap();
+        assert_eq!((header.circuit.as_str(), header.seq_len), ("s208", 8));
+        assert_eq!((shard.shard_count, shard.len), (1, 1 << 40));
+        match read_shard(&path) {
+            Err(Error::Checkpoint {
+                path: at, message, ..
+            }) => {
+                assert_eq!(at, path.display().to_string());
+                assert!(
+                    message.contains("missing end-of-shard trailer"),
+                    "{message}"
+                );
+            }
+            other => panic!("expected a located checkpoint error, got {other:?}"),
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     /// Shard 1 of 3 of a 12-fault campaign, covering faults [4, 9). The

@@ -79,8 +79,10 @@ pub struct PerfCounters {
     /// Total gate evaluations (see above for the unit).
     pub gate_evals: u64,
     /// Conventional screening: the campaign's word-parallel fault pre-pass
-    /// (64–256 lanes, possibly multi-threaded) plus each surviving fault's
-    /// scalar/differential faulty-trace simulation.
+    /// (64–256 lanes, possibly multi-threaded), which also decides condition
+    /// (C), plus the scalar/differential faulty-trace simulation of each
+    /// fault that survives it undetected and passes (C) — or of every
+    /// undetected fault when the (C) check is off or screening is disabled.
     pub screen_nanos: u64,
     /// Section 3.1 collection sweeps (includes the implication-engine time
     /// below).

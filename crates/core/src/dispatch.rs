@@ -1209,6 +1209,37 @@ mod tests {
         }
     }
 
+    /// An upload whose header declares 2^40 faults is rejected without
+    /// allocating by that count: the dispatcher keeps serving, and the
+    /// shard stays open for a valid result.
+    #[test]
+    fn oversized_shard_header_upload_is_rejected() {
+        let (d, hash, dir) = dispatcher("oversized", 1, quick());
+        let a = assignment(d.lease("w").expect("lease"));
+        let bytes = crate::checkpoint::OVERSIZED_SHARD_HEADER;
+        match d.complete("w", hash, a.shard, bytes).expect("complete") {
+            Completion::Rejected { reason } => {
+                assert!(reason.contains("missing end-of-shard trailer"), "{reason}");
+            }
+            other => panic!("the crafted upload must be rejected: {other:?}"),
+        }
+        assert_eq!(d.stats().expect("stats").completed, 0);
+        d.fail("w", hash, a.shard, "upload rejected").expect("fail");
+        std::thread::sleep(Duration::from_millis(5));
+        let again = assignment(d.lease("w2").expect("lease"));
+        assert_eq!(again.shard, a.shard, "the shard is leased again");
+        let scratch = temp_dir("oversized-scratch");
+        let valid = run_assignment(&again, &scratch);
+        assert_eq!(
+            d.complete("w2", hash, again.shard, &valid)
+                .expect("complete"),
+            Completion::Accepted
+        );
+        for p in [dir, scratch] {
+            let _ = std::fs::remove_dir_all(&p);
+        }
+    }
+
     /// Daemon-restart adoption: a canonical shard file already on disk is
     /// adopted as completed, so only the missing shard is re-leased.
     #[test]

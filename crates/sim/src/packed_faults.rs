@@ -7,6 +7,10 @@
 //! conventionally screens a whole word of faults at the cost of roughly one
 //! scalar simulation. The campaign uses it as a pre-pass that detects and
 //! drops faults in batches before the expensive per-fault MOA procedure runs.
+//! The same pass also decides the paper's necessary condition (C) for every
+//! fault it leaves undetected ([`ScreenOutcome::condition_c`]), so the
+//! campaign drops the (C) failures too and builds a per-fault scalar trace
+//! only for the faults that go on to backward implications.
 //!
 //! The kernel is generic over the [`Word`] carrying the lanes: `u64` packs
 //! 64 faults per word (the original configuration, kept verbatim behind
@@ -19,7 +23,7 @@
 //! worker threads (each with its own scratch buffers), and the per-batch
 //! results are merged positionally. Because every lane's verdict depends
 //! only on its own fault (lanes never interact, and batch membership is a
-//! pure function of fault-list order and lane width), the merged detections
+//! pure function of fault-list order and lane width), the merged verdicts
 //! are bit-identical for every lane width and thread count — the tests
 //! assert this against the scalar simulation fault by fault.
 //!
@@ -367,6 +371,17 @@ pub struct ScreenOutcome {
     /// Per fault (in input order), the earliest conventional detection —
     /// bit-identical to `conventional_detection(good, &simulate(..))`.
     pub detections: Vec<Option<Detection>>,
+    /// Per fault (in input order), whether the paper's necessary condition
+    /// (C) holds for a fault the screen leaves undetected: some time unit
+    /// `u` has `N_sv(u) > 0` and `N_out(u) > 0` on its scalar faulty trace.
+    /// Every lane starts from the all-`X` state, so `N_sv(0)` is the
+    /// flip-flop count, and `N_out` is a suffix sum, so `N_out(u) > 0`
+    /// implies `N_out(0) > 0`. (C) therefore holds exactly when the circuit
+    /// has a flip-flop and some output, at some frame, is specified in the
+    /// good machine and `X` in the faulty one — which the kernel tracks
+    /// with one word operation per good-specified output per frame.
+    /// Always `false` for a detected fault: its detection decides it.
+    pub condition_c: Vec<bool>,
     /// Packed gate-word evaluations spent: one per gate per frame per
     /// *word pass*, regardless of lane width (see
     /// `moa_core::PerfCounters::gate_evals` for the convention). A wider
@@ -375,8 +390,26 @@ pub struct ScreenOutcome {
     pub gate_evaluations: u64,
 }
 
+impl ScreenOutcome {
+    fn with_capacity(faults: usize) -> Self {
+        ScreenOutcome {
+            detections: Vec::with_capacity(faults),
+            condition_c: Vec::with_capacity(faults),
+            gate_evaluations: 0,
+        }
+    }
+
+    /// Appends `other`'s faults after this outcome's.
+    fn append(&mut self, other: ScreenOutcome) {
+        self.detections.extend(other.detections);
+        self.condition_c.extend(other.condition_c);
+        self.gate_evaluations += other.gate_evaluations;
+    }
+}
+
 /// Screens one word-sized chunk of faults from the all-`X` initial state,
-/// reusing the caller's scratch buffers across frames.
+/// appending its verdicts to `outcome` and reusing the caller's scratch
+/// buffers across frames.
 fn screen_chunk<W: Word>(
     circuit: &Circuit,
     seq: &TestSequence,
@@ -384,12 +417,17 @@ fn screen_chunk<W: Word>(
     chunk: &[Fault],
     state: &mut Vec<PackedV3<W>>,
     values: &mut PackedV3Values<W>,
-    gate_evaluations: &mut u64,
-) -> Vec<Option<Detection>> {
+    outcome: &mut ScreenOutcome,
+) {
     let batch = FaultBatch::<W>::new(circuit, chunk);
     let valid = batch.valid_mask();
-    let mut detections: Vec<Option<Detection>> = vec![None; chunk.len()];
+    let first = outcome.detections.len();
+    outcome.detections.resize(first + chunk.len(), None);
+    let detections = &mut outcome.detections[first..];
     let mut resolved = W::ZERO;
+    // Lanes that have shown a recoverable output: specified in the good
+    // machine, `X` in the faulty one.
+    let mut recoverable = W::ZERO;
     state.clear();
     state.resize(circuit.num_flip_flops(), PackedV3::ALL_X);
     for u in 0..seq.len() {
@@ -397,30 +435,39 @@ fn screen_chunk<W: Word>(
             break;
         }
         batch.run_frame_into(circuit, seq.pattern(u), state, values);
-        *gate_evaluations += circuit.num_gates() as u64;
+        outcome.gate_evaluations += circuit.num_gates() as u64;
         // Scan outputs in ascending order so each lane records the same
         // earliest (time, output) conflict as the scalar path.
         for (o, &net) in circuit.outputs().iter().enumerate() {
-            let out = values.get(net);
-            let mismatch = match good.outputs[u][o].to_bool() {
-                Some(true) => out.zeros,
-                Some(false) => out.ones,
-                None => W::ZERO,
+            let Some(expected) = good.outputs[u][o].to_bool() else {
+                continue;
             };
+            let out = values.get(net);
+            let mismatch = if expected { out.zeros } else { out.ones };
             let newly = mismatch.and(valid).and_not(resolved);
             resolved = resolved.or(newly);
             newly.for_each_set_lane(|slot| {
                 detections[slot] = Some(Detection { time: u, output: o });
             });
+            recoverable = recoverable.or(out.ones.or(out.zeros).not());
         }
         batch.next_state_into(circuit, values, state);
     }
-    detections
+    // The chunk stops early only once every lane is detected, so an
+    // undetected lane has seen every frame and its bit is exact.
+    let passes = if circuit.num_flip_flops() > 0 {
+        recoverable.and_not(resolved)
+    } else {
+        W::ZERO
+    };
+    outcome
+        .condition_c
+        .extend((0..chunk.len()).map(|slot| passes.test_lane(slot)));
 }
 
 /// Conventionally screens `faults` a word at a time from the all-`X` initial
-/// state, returning each fault's earliest conventional [`Detection`] —
-/// generic driver shared by every lane width.
+/// state, returning each fault's earliest conventional [`Detection`] and its
+/// condition-(C) bit — generic driver shared by every lane width.
 fn screen_faults_generic<W: Word>(
     circuit: &Circuit,
     seq: &TestSequence,
@@ -435,24 +482,20 @@ fn screen_faults_generic<W: Word>(
     // short fault lists stay on the calling thread. Verdicts are unaffected:
     // the partition never changes what any chunk computes.
     let threads = threads.max(1).min((chunks.len() / 2).max(1));
-    let mut outcome = ScreenOutcome {
-        detections: Vec::with_capacity(faults.len()),
-        gate_evaluations: 0,
-    };
+    let mut outcome = ScreenOutcome::with_capacity(faults.len());
     if threads <= 1 {
         let mut state = Vec::new();
         let mut values = PackedV3Values::<W>::new(circuit);
         for chunk in chunks {
-            let detections = screen_chunk(
+            screen_chunk(
                 circuit,
                 seq,
                 good,
                 chunk,
                 &mut state,
                 &mut values,
-                &mut outcome.gate_evaluations,
+                &mut outcome,
             );
-            outcome.detections.extend(detections);
         }
         return outcome;
     }
@@ -464,22 +507,26 @@ fn screen_faults_generic<W: Word>(
     // (chunk-major, then lane order), so the outcome is bit-identical to the
     // single-threaded pass for every thread count.
     let per_worker = chunks.len().div_ceil(threads);
-    let parts: Vec<(usize, Vec<Option<Detection>>, u64)> = std::thread::scope(|scope| {
+    let parts: Vec<ScreenOutcome> = std::thread::scope(|scope| {
         let handles: Vec<_> = chunks
             .chunks(per_worker)
-            .enumerate()
-            .map(|(part, mine)| {
+            .map(|mine| {
                 scope.spawn(move || {
                     let mut state = Vec::new();
                     let mut values = PackedV3Values::<W>::new(circuit);
-                    let mut evals = 0u64;
-                    let mut detections = Vec::new();
+                    let mut part = ScreenOutcome::with_capacity(mine.len() * W::LANES);
                     for chunk in mine {
-                        detections.extend(screen_chunk(
-                            circuit, seq, good, chunk, &mut state, &mut values, &mut evals,
-                        ));
+                        screen_chunk(
+                            circuit,
+                            seq,
+                            good,
+                            chunk,
+                            &mut state,
+                            &mut values,
+                            &mut part,
+                        );
                     }
-                    (part, detections, evals)
+                    part
                 })
             })
             .collect();
@@ -488,18 +535,15 @@ fn screen_faults_generic<W: Word>(
             .map(|h| h.join().expect("screening worker panicked"))
             .collect()
     });
-    let mut parts = parts;
-    parts.sort_by_key(|&(part, _, _)| part);
-    for (_, detections, evals) in parts {
-        outcome.detections.extend(detections);
-        outcome.gate_evaluations += evals;
+    for part in parts {
+        outcome.append(part);
     }
     outcome
 }
 
 /// Conventionally screens `faults` 64 at a time from the all-`X` initial
-/// state, returning each fault's earliest conventional [`Detection`] — the
-/// original single-threaded `u64` kernel.
+/// state, returning each fault's earliest conventional [`Detection`] and
+/// its condition-(C) bit — the original single-threaded `u64` kernel.
 ///
 /// `good` must be the fault-free trace of `seq` (`simulate(circuit, seq,
 /// None)`). A batch stops early once every slot has resolved; verdicts are
@@ -522,9 +566,10 @@ pub fn screen_faults(
 /// worker threads (`0` or `1` runs on the calling thread; the count is
 /// capped at the number of batches).
 ///
-/// The outcome is bit-identical to [`screen_faults`] — and therefore to the
-/// scalar conventional simulation — for every `(lanes, threads)` pair; only
-/// the wall time differs. See the module docs for why.
+/// The detections and condition-(C) bits are bit-identical to
+/// [`screen_faults`]' — and therefore to the scalar conventional simulation
+/// — for every `(lanes, threads)` pair; only the wall time and the per-pass
+/// gate-evaluation charge differ. See the module docs for why.
 ///
 /// # Panics
 ///
@@ -570,18 +615,46 @@ mod tests {
         b.finish().unwrap()
     }
 
+    /// The paper's condition (C) on a scalar faulty trace, spelled out: some
+    /// time unit `u` has `N_sv(u) > 0` and `N_out(u) > 0`, where `N_out(u)`
+    /// counts the outputs at or after `u` that are specified in the good
+    /// machine and `X` in the faulty one.
+    fn scalar_condition_c(good: &SimTrace, faulty: &SimTrace) -> bool {
+        let recoverable = |t: usize| {
+            good.outputs[t]
+                .iter()
+                .zip(&faulty.outputs[t])
+                .any(|(g, f)| g.is_specified() && !f.is_specified())
+        };
+        (0..=good.len())
+            .any(|u| faulty.num_unspecified_state_vars(u) > 0 && (u..good.len()).any(recoverable))
+    }
+
     fn assert_screen_matches_scalar(circuit: &Circuit, seq: &TestSequence) {
         let good = simulate(circuit, seq, None);
         let faults = full_fault_list(circuit);
         let outcome = screen_faults(circuit, seq, &good, &faults);
         assert_eq!(outcome.detections.len(), faults.len());
-        for (fault, packed) in faults.iter().zip(&outcome.detections) {
+        assert_eq!(outcome.condition_c.len(), faults.len());
+        for ((fault, packed), &holds) in faults
+            .iter()
+            .zip(&outcome.detections)
+            .zip(&outcome.condition_c)
+        {
             let faulty = simulate(circuit, seq, Some(fault));
             let scalar = conventional_detection(&good, &faulty);
             assert_eq!(
                 *packed,
                 scalar,
                 "{} under {:?}",
+                fault.describe(circuit),
+                seq
+            );
+            let expected = scalar.is_none() && scalar_condition_c(&good, &faulty);
+            assert_eq!(
+                holds,
+                expected,
+                "condition (C) of {} under {:?}",
                 fault.describe(circuit),
                 seq
             );
@@ -636,6 +709,61 @@ mod tests {
         assert_screen_matches_scalar(&c, &long);
     }
 
+    /// Without flip-flops `N_sv` is zero everywhere, so (C) never holds —
+    /// even for a fault whose output is specified in the good machine and
+    /// `X` in the faulty one.
+    #[test]
+    fn condition_c_never_holds_without_flip_flops() {
+        let mut b = CircuitBuilder::new("comb");
+        b.add_input("a").unwrap();
+        b.add_input("b").unwrap();
+        b.add_gate(GateKind::Or, "z", &["a", "b"]).unwrap();
+        b.add_output("z");
+        let c = b.finish().unwrap();
+        let seq = TestSequence::from_words(&["1X", "X1", "0X", "11"]).unwrap();
+        let good = simulate(&c, &seq, None);
+        let faults = full_fault_list(&c);
+        let outcome = screen_faults(&c, &seq, &good, &faults);
+        assert!(outcome.condition_c.iter().all(|&holds| !holds));
+        let a_stuck_at_0 = Fault::stem(c.find_net("a").unwrap(), false);
+        let faulty = simulate(&c, &seq, Some(&a_stuck_at_0));
+        assert!(
+            good.outputs[0][0].is_specified() && !faulty.outputs[0][0].is_specified(),
+            "a recoverable output exists, yet (C) fails"
+        );
+        assert_screen_matches_scalar(&c, &seq);
+    }
+
+    /// A fault whose only recoverable output is in the last frame passes
+    /// (C): the kernel scans the outputs of every frame, the last included.
+    #[test]
+    fn condition_c_sees_a_recoverable_output_in_the_last_frame() {
+        // r = 0 resets q; with r stuck-at-1 the faulty q toggles from X and
+        // stays X. z = AND(q, a) masks q until `a` rises in the last frame.
+        let mut b = CircuitBuilder::new("late");
+        b.add_input("r").unwrap();
+        b.add_input("a").unwrap();
+        b.add_flip_flop("q", "d").unwrap();
+        b.add_gate(GateKind::Not, "nq", &["q"]).unwrap();
+        b.add_gate(GateKind::And, "d", &["r", "nq"]).unwrap();
+        b.add_gate(GateKind::And, "z", &["q", "a"]).unwrap();
+        b.add_output("z");
+        let c = b.finish().unwrap();
+        let seq = TestSequence::from_words(&["00", "00", "00", "01"]).unwrap();
+        let good = simulate(&c, &seq, None);
+        let fault = Fault::stem(c.find_net("r").unwrap(), true);
+        let faulty = simulate(&c, &seq, Some(&fault));
+        let recoverable: Vec<usize> = (0..seq.len())
+            .filter(|&u| good.outputs[u][0].is_specified() && !faulty.outputs[u][0].is_specified())
+            .collect();
+        assert_eq!(recoverable, [seq.len() - 1]);
+
+        let outcome = screen_faults(&c, &seq, &good, &[fault]);
+        assert_eq!(outcome.detections, [None]);
+        assert_eq!(outcome.condition_c, [true]);
+        assert_screen_matches_scalar(&c, &seq);
+    }
+
     /// Two faults on the same net with opposite polarities stay independent.
     #[test]
     fn opposite_polarities_share_a_net() {
@@ -671,6 +799,10 @@ mod tests {
                 let wide = screen_faults_wide(&c, &seq, &good, &faults, lanes, threads);
                 assert_eq!(
                     wide.detections, reference.detections,
+                    "lanes={lanes} threads={threads}"
+                );
+                assert_eq!(
+                    wide.condition_c, reference.condition_c,
                     "lanes={lanes} threads={threads}"
                 );
             }
@@ -725,8 +857,7 @@ mod tests {
         let one = screen_faults_wide(&c, &seq, &good, &faults, ScreenLanes::L64, 1);
         for threads in [2, 4, 16] {
             let many = screen_faults_wide(&c, &seq, &good, &faults, ScreenLanes::L64, threads);
-            assert_eq!(many.gate_evaluations, one.gate_evaluations);
-            assert_eq!(many.detections, one.detections);
+            assert_eq!(many, one);
         }
     }
 

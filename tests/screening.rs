@@ -15,15 +15,28 @@ use proptest::prelude::*;
 use moa_repro::circuits::suite::suite;
 use moa_repro::circuits::synth::{generate, SynthSpec};
 use moa_repro::core::{
-    read_checkpoint, run_campaign, CampaignAudit, CampaignOptions, CheckpointHeader,
+    condition_c_holds, n_out_profile, n_sv_profile, read_checkpoint, run_campaign, CampaignAudit,
+    CampaignOptions, CheckpointHeader,
 };
 use moa_repro::netlist::{collapse_faults, full_fault_list, Fault};
-use moa_repro::sim::{run_conventional, screen_faults, screen_faults_wide, simulate, ScreenLanes};
+use moa_repro::sim::{
+    run_conventional, screen_faults, screen_faults_wide, simulate, ScreenLanes, SimTrace,
+};
 use moa_repro::tpg::random_sequence;
 
-/// The ISSUE's headline equivalence: for every representative fault of every
+/// Condition (C) as the per-fault procedure decides it, from the scalar
+/// faulty trace.
+fn scalar_condition_c(good: &SimTrace, faulty: &SimTrace) -> bool {
+    let n_sv = n_sv_profile(faulty);
+    let n_out = n_out_profile(good, faulty);
+    condition_c_holds(&n_sv[..n_out.len()], &n_out)
+}
+
+/// The headline equivalence: for every representative fault of every
 /// embedded suite circuit, the 64-way packed screen reports bit-identically
-/// the detection (or absence) of the scalar conventional simulation.
+/// the detection (or absence) of the scalar conventional simulation, and for
+/// every fault it leaves undetected, the condition-(C) verdict of the scalar
+/// faulty trace.
 #[test]
 fn screen_matches_scalar_conventional_on_every_suite_fault() {
     for e in suite() {
@@ -38,13 +51,22 @@ fn screen_matches_scalar_conventional_on_every_suite_fault() {
         assert_eq!(outcome.detections.len(), faults.len());
         assert!(outcome.gate_evaluations > 0, "{}", e.name);
 
-        for (fault, screened) in faults.iter().zip(&outcome.detections) {
-            let (scalar, _) = run_conventional(&circuit, &seq, &good, fault);
+        let verdicts = outcome.detections.iter().zip(&outcome.condition_c);
+        for (fault, (screened, &holds)) in faults.iter().zip(verdicts) {
+            let (scalar, faulty) = run_conventional(&circuit, &seq, &good, fault);
             assert_eq!(
                 *screened, scalar,
                 "{}: screen and scalar conventional disagree on {fault}",
                 e.name
             );
+            if screened.is_none() {
+                assert_eq!(
+                    holds,
+                    scalar_condition_c(&good, &faulty),
+                    "{}: screen and scalar condition (C) disagree on {fault}",
+                    e.name
+                );
+            }
         }
     }
 }
@@ -175,8 +197,9 @@ fn screened_audited_campaign_resumes_identically_after_interruption() {
 
 /// The wide kernels and the thread axis are pure execution knobs: for every
 /// suite circuit, every lane width at several thread counts reports
-/// detections bit-identical to the 64-lane single-threaded reference (and
-/// therefore, by the test above, to scalar conventional simulation).
+/// detections and condition-(C) bits bit-identical to the 64-lane
+/// single-threaded reference (and therefore, by the test above, to scalar
+/// conventional simulation).
 #[test]
 fn wide_and_threaded_screens_match_the_64_lane_kernel_across_suite() {
     for e in suite() {
@@ -192,6 +215,11 @@ fn wide_and_threaded_screens_match_the_64_lane_kernel_across_suite() {
                 let wide = screen_faults_wide(&circuit, &seq, &good, &faults, lanes, threads);
                 assert_eq!(
                     wide.detections, reference.detections,
+                    "{}: lanes={lanes} threads={threads}",
+                    e.name
+                );
+                assert_eq!(
+                    wide.condition_c, reference.condition_c,
                     "{}: lanes={lanes} threads={threads}",
                     e.name
                 );
@@ -274,7 +302,8 @@ fn arb_spec() -> impl Strategy<Value = SynthSpec> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Screen/scalar equivalence holds on random circuits and random
+    /// Screen/scalar equivalence — detections, and condition (C) for the
+    /// faults left undetected — holds on random circuits and random
     /// sequences, for every collapsed fault — not just the embedded suite.
     #[test]
     fn screen_matches_scalar_on_random_circuits(
@@ -289,9 +318,14 @@ proptest! {
             .representatives()
             .to_vec();
         let outcome = screen_faults(&circuit, &seq, &good, &faults);
-        for (fault, screened) in faults.iter().zip(&outcome.detections) {
-            let (scalar, _) = run_conventional(&circuit, &seq, &good, fault);
+        let verdicts = outcome.detections.iter().zip(&outcome.condition_c);
+        for (fault, (screened, &holds)) in faults.iter().zip(verdicts) {
+            let (scalar, faulty) = run_conventional(&circuit, &seq, &good, fault);
             prop_assert_eq!(*screened, scalar, "disagreement on {}", fault);
+            if screened.is_none() {
+                prop_assert_eq!(holds, scalar_condition_c(&good, &faulty),
+                    "condition (C) disagreement on {}", fault);
+            }
         }
     }
 
@@ -314,9 +348,9 @@ proptest! {
     }
 
     /// The full execution-knob sweep: on random circuits, a randomly drawn
-    /// lane width and thread count report screen verdicts bit-identical to
-    /// both the scalar conventional simulation and the 64-lane reference
-    /// kernel.
+    /// lane width and thread count report screen verdicts (detections and
+    /// condition-(C) bits) bit-identical to both the scalar simulation and
+    /// the 64-lane reference kernel.
     #[test]
     fn wide_screen_matches_scalar_and_narrow_on_random_circuits(
         spec in arb_spec(),
@@ -336,9 +370,16 @@ proptest! {
         let wide = screen_faults_wide(&circuit, &seq, &good, &faults, lanes, threads);
         prop_assert_eq!(&wide.detections, &narrow.detections,
             "lanes={} threads={}", lanes, threads);
-        for (fault, screened) in faults.iter().zip(&wide.detections) {
-            let (scalar, _) = run_conventional(&circuit, &seq, &good, fault);
+        prop_assert_eq!(&wide.condition_c, &narrow.condition_c,
+            "lanes={} threads={}", lanes, threads);
+        let verdicts = wide.detections.iter().zip(&wide.condition_c);
+        for (fault, (screened, &holds)) in faults.iter().zip(verdicts) {
+            let (scalar, faulty) = run_conventional(&circuit, &seq, &good, fault);
             prop_assert_eq!(*screened, scalar, "disagreement on {}", fault);
+            if screened.is_none() {
+                prop_assert_eq!(holds, scalar_condition_c(&good, &faulty),
+                    "condition (C) disagreement on {}", fault);
+            }
         }
     }
 
