@@ -92,14 +92,6 @@ fn bench_campaign_ablations(c: &mut Criterion) {
         });
     }
 
-    group.bench_function("packed_resimulation", |b| {
-        let opts = MoaOptions {
-            packed_resimulation: true,
-            ..Default::default()
-        };
-        b.iter(|| black_box(run_with_options(&circuit, &seq, &faults, opts.clone())));
-    });
-
     group.bench_function("fixed_point_rounds_4", |b| {
         b.iter(|| {
             black_box(run_with_options(

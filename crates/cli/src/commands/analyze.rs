@@ -295,18 +295,11 @@ fn json_string(text: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn write_bench(name: &str, source: &str) -> String {
-        let dir = std::env::temp_dir().join("moa-cli-analyze-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(name);
-        std::fs::write(&path, source).unwrap();
-        path.to_string_lossy().into_owned()
-    }
+    use crate::fixtures::{publish, s27_path};
 
     #[test]
     fn clean_circuit_reports_no_diagnostics() {
-        let path = write_bench("s27.bench", moa_circuits::iscas::S27_BENCH);
+        let path = s27_path();
         let mut out = Vec::new();
         run(&[path], &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
@@ -319,7 +312,7 @@ mod tests {
     fn constant_net_is_flagged_with_location() {
         // x = AND(a, NOT(a)) is statically 0; z = OR(b, x) keeps x observable
         // so the only finding is the constant.
-        let path = write_bench(
+        let path = publish(
             "const.bench",
             "INPUT(a)\nINPUT(b)\nOUTPUT(z)\nna = NOT(a)\nx = AND(a, na)\nz = OR(b, x)\n",
         );
@@ -332,7 +325,7 @@ mod tests {
 
     #[test]
     fn json_output_is_structured() {
-        let path = write_bench(
+        let path = publish(
             "dangle.bench",
             "INPUT(a)\nOUTPUT(z)\nw = NOT(a)\nz = BUFF(a)\n",
         );

@@ -23,8 +23,8 @@ const USAGE: &str = "usage: moa campaign <bench-file> [--words p,... | --random 
 [--threads T] [--deadline-ms MS] [--work-limit W] [--max-frontier N] [--degrade] \
 [--checkpoint FILE [--checkpoint-every N] [--resume]] \
 [--shards N [--shard-id K | --merge] [--shard-dir DIR] [--shard-retries R (default 5)]] \
-[--audit[=N]] [--chaos-seed S] [--collapse | --no-collapse] [--packed] \
-[--differential] [--no-screen] [--screen-lanes 64|128|256] [--screen-threads T] [--learn] \
+[--audit[=N]] [--chaos-seed S] [--collapse | --no-collapse] [--differential] \
+[--no-screen] [--screen-lanes 64|128|256] [--screen-threads T] [--learn] \
 [--prune-untestable] [--verbose]";
 
 const BASELINE: &str = "baseline [4] (expansion only)";
@@ -44,7 +44,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             "screen-lanes", "screen-threads",
         ],
         &[
-            "baseline", "proposed", "both", "collapse", "no-collapse", "packed", "differential",
+            "baseline", "proposed", "both", "collapse", "no-collapse", "differential",
             "no-screen", "learn", "prune-untestable", "verbose", "resume", "degrade", "merge",
         ],
     )?;
@@ -510,15 +510,7 @@ fn print_summary(out: &mut dyn Write, r: &CampaignResult) -> Result<(), CliError
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn toggle_path() -> String {
-        let dir = std::env::temp_dir().join("moa-cli-campaign-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("toggle.bench");
-        let text = moa_netlist::write_bench(&moa_circuits::teaching::resettable_toggle());
-        std::fs::write(&path, text).unwrap();
-        path.to_string_lossy().into_owned()
-    }
+    use crate::fixtures::toggle_path;
 
     #[test]
     fn both_campaigns_run_and_report() {
@@ -896,13 +888,15 @@ mod tests {
     }
 
     #[test]
-    fn zero_shards_and_zero_shard_retries_are_rejected_with_reasons() {
+    fn zero_counts_are_rejected_with_reasons() {
         for extra in [
             &["--shards", "2", "--shard-retries", "0"][..],
             &["--shards", "0"],
             &["--shards", "0", "--shard-id", "0"],
             &["--shards", "0", "--merge"],
             &["--rounds", "0"],
+            &["--depth", "0"],
+            &["--n-states", "0"],
         ] {
             let mut args = vec![
                 toggle_path(),
@@ -1174,7 +1168,7 @@ mod tests {
     }
 
     #[test]
-    fn packed_and_depth_flags_are_accepted() {
+    fn depth_and_n_states_flags_are_accepted() {
         let mut out = Vec::new();
         run(
             &[
@@ -1182,7 +1176,6 @@ mod tests {
                 "--words".into(),
                 "0,0,0".into(),
                 "--proposed".into(),
-                "--packed".into(),
                 "--depth".into(),
                 "2".into(),
                 "--n-states".into(),

@@ -68,15 +68,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn toggle_path() -> String {
-        let dir = std::env::temp_dir().join("moa-cli-exact-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("toggle.bench");
-        let text = moa_netlist::write_bench(&moa_circuits::teaching::resettable_toggle());
-        std::fs::write(&path, text).unwrap();
-        path.to_string_lossy().into_owned()
-    }
+    use crate::fixtures::toggle_path;
 
     #[test]
     fn compares_procedure_to_ground_truth() {

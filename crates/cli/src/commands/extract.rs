@@ -52,14 +52,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn s27_path() -> String {
-        let dir = std::env::temp_dir().join("moa-cli-extract-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("s27.bench");
-        std::fs::write(&path, moa_circuits::iscas::S27_BENCH).unwrap();
-        path.to_string_lossy().into_owned()
-    }
+    use crate::fixtures::s27_path;
 
     #[test]
     fn extracts_a_cone_to_stdout() {

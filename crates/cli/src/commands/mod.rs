@@ -99,24 +99,37 @@ pub(crate) fn audit_peeled(
 
 /// Builds [`MoaOptions`] from the campaign-style tuning flags
 /// (`--n-states`, `--depth`, `--rounds`, `--budget`, `--max-frontier`,
-/// `--packed`, `--learn`, `--degrade`). Flags the caller did not declare
-/// simply keep their defaults. `--rounds 0` is rejected: every backward
-/// implication runs at least one round.
+/// `--learn`, `--degrade`). Flags the caller did not declare simply keep
+/// their defaults. `--rounds 0` is rejected: every backward implication
+/// runs at least one round. So are `--depth 0` and `--n-states 0`: the
+/// engine would run them as 1 while the request hash keeps the 0, so one
+/// request would be stored and simulated under two hashes.
 pub(crate) fn moa_options_from_args(parser: &ArgParser) -> Result<MoaOptions, CliError> {
-    let rounds = parser.num("rounds", 1usize)?;
-    if rounds == 0 {
-        return Err(CliError::Usage(
-            "--rounds must be at least 1: each backward implication runs one \
-             outputs->inputs and one inputs->outputs pass per round"
-                .into(),
-        ));
-    }
+    let at_least_one = |name: &str, default: usize, why: &str| match parser.num(name, default)? {
+        0 => Err(CliError::Usage(format!("--{name} must be at least 1: {why}"))),
+        value => Ok(value),
+    };
+    let rounds = at_least_one(
+        "rounds",
+        1,
+        "each backward implication runs one outputs->inputs and one inputs->outputs pass \
+         per round",
+    )?;
+    let depth = at_least_one(
+        "depth",
+        1,
+        "backward implications always chain through at least the previous time unit",
+    )?;
+    let n_states = at_least_one(
+        "n-states",
+        64,
+        "expansion always keeps at least one state sequence",
+    )?;
     let mut moa = MoaOptions::default()
-        .with_n_states(parser.num("n-states", 64)?)
-        .with_backward_time_units(parser.num("depth", 1)?)
+        .with_n_states(n_states)
+        .with_backward_time_units(depth)
         .with_implication_rounds(rounds)
         .with_max_implication_runs(parser.num("budget", 4096)?);
-    moa.packed_resimulation = parser.switch("packed");
     moa.static_learning = parser.switch("learn");
     if let Some(states) = parser.flag("max-frontier") {
         let states: usize = states.parse().map_err(|_| {

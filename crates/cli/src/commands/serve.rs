@@ -310,7 +310,9 @@ fn handle_connection(server: &Server, stream: TcpStream, limits: ConnLimits) {
             Ok(Some(line)) => line,
             Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
                 // Tell the peer why before hanging up; the stream cannot be
-                // re-framed after an oversized or non-UTF-8 line.
+                // re-framed after an oversized or non-UTF-8 line. Half-close
+                // first: closing with unread request bytes sends a reset in
+                // place of the end of stream the peer should read.
                 let _ = send(
                     &mut writer,
                     &Json::obj(vec![
@@ -318,6 +320,7 @@ fn handle_connection(server: &Server, stream: TcpStream, limits: ConnLimits) {
                         ("error", Json::str(e.to_string())),
                     ]),
                 );
+                let _ = writer.shutdown(std::net::Shutdown::Write);
                 return;
             }
             // Clean EOF, timeout, or connection error: nothing to say.
@@ -989,6 +992,10 @@ mod tests {
     /// loop: submit → watch to completion → status → dedupe → bad requests.
     #[test]
     fn protocol_round_trip_over_a_socket() {
+        // The failpoint test below arms `fp/serve.recv`/`send` process-wide;
+        // a socket test running beside it would swallow the injected failure.
+        #[cfg(feature = "failpoints")]
+        let _guard = moa_core::failpoint::test_lock();
         let dir = temp_spool("proto");
         let server = Arc::new(Server::start(ServeOptions::new(&dir)).expect("start"));
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -1101,6 +1108,8 @@ mod tests {
     /// the connection must not limp along misinterpreting the remainder.
     #[test]
     fn oversized_request_lines_answer_an_error_then_disconnect() {
+        #[cfg(feature = "failpoints")]
+        let _guard = moa_core::failpoint::test_lock();
         let dir = temp_spool("maxline");
         let server = Arc::new(Server::start(ServeOptions::new(&dir)).expect("start"));
         let limits = ConnLimits {
@@ -1131,6 +1140,8 @@ mod tests {
     /// drives one job to completion shard by shard.
     #[test]
     fn dispatch_ops_drive_a_job_over_the_wire() {
+        #[cfg(feature = "failpoints")]
+        let _guard = moa_core::failpoint::test_lock();
         let dir = temp_spool("dispatch-ops");
         let options = ServeOptions {
             shards: 2,
@@ -1249,6 +1260,8 @@ mod tests {
     /// spinning on idle replies forever.
     #[test]
     fn dispatch_ops_require_dispatch_mode() {
+        #[cfg(feature = "failpoints")]
+        let _guard = moa_core::failpoint::test_lock();
         let dir = temp_spool("nodispatch");
         let server = Arc::new(Server::start(ServeOptions::new(&dir)).expect("start"));
         let (addr, handler) = one_shot_handler(&server, ConnLimits::default());

@@ -70,14 +70,7 @@ pub(crate) fn parse_fault(circuit: &Circuit, spec: &str) -> Result<Fault, CliErr
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn s27_path() -> String {
-        let dir = std::env::temp_dir().join("moa-cli-sim-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("s27.bench");
-        std::fs::write(&path, moa_circuits::iscas::S27_BENCH).unwrap();
-        path.to_string_lossy().into_owned()
-    }
+    use crate::fixtures::s27_path;
 
     #[test]
     fn simulates_explicit_words() {

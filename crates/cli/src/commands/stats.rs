@@ -29,15 +29,12 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::s27_path;
 
     #[test]
     fn prints_s27_stats() {
-        let dir = std::env::temp_dir().join("moa-cli-stats-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("s27.bench");
-        std::fs::write(&path, moa_circuits::iscas::S27_BENCH).unwrap();
         let mut out = Vec::new();
-        run(&[path.to_string_lossy().into_owned()], &mut out).unwrap();
+        run(&[s27_path()], &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("circuit : s27"));
         assert!(text.contains("DFFs    : 3"));

@@ -69,12 +69,8 @@ mod tests {
     use super::*;
 
     fn counter_path() -> String {
-        let dir = std::env::temp_dir().join("moa-cli-tpg-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("counter.bench");
         let text = moa_netlist::write_bench(&moa_circuits::teaching::counter(3));
-        std::fs::write(&path, text).unwrap();
-        path.to_string_lossy().into_owned()
+        crate::fixtures::publish("counter.bench", &text)
     }
 
     #[test]

@@ -180,6 +180,40 @@ pub(crate) fn load_circuit(path: &str) -> Result<moa_netlist::Circuit, CliError>
         .map_err(|e| CliError::Failed(format!("cannot parse `{path}`: {e}")))
 }
 
+/// Circuit files shared by the command modules' unit tests.
+#[cfg(test)]
+pub(crate) mod fixtures {
+    /// Publishes `text` as `name` in a shared fixture directory and returns
+    /// its path. Tests run in parallel and read these files while other
+    /// tests rewrite them, so the text goes to a private file that is then
+    /// renamed into place: a reader sees a whole netlist, never a truncated
+    /// one.
+    pub(crate) fn publish(name: &str, text: &str) -> String {
+        let dir = std::env::temp_dir().join("moa-cli-fixtures");
+        std::fs::create_dir_all(&dir).unwrap();
+        let tmp = dir.join(format!(
+            "{name}.{}-{:?}.tmp",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::write(&tmp, text).unwrap();
+        let path = dir.join(name);
+        std::fs::rename(&tmp, &path).unwrap();
+        path.to_string_lossy().into_owned()
+    }
+
+    /// The resettable toggle teaching circuit.
+    pub(crate) fn toggle_path() -> String {
+        let text = moa_netlist::write_bench(&moa_circuits::teaching::resettable_toggle());
+        publish("toggle.bench", &text)
+    }
+
+    /// The ISCAS'89 s27 benchmark.
+    pub(crate) fn s27_path() -> String {
+        publish("s27.bench", moa_circuits::iscas::S27_BENCH)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

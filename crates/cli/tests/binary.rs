@@ -456,3 +456,23 @@ fn campaign_on_s27_detects_faults() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("detected total"));
 }
+
+#[test]
+fn zero_depth_zero_n_states_and_the_retired_packed_flag_exit_two() {
+    for (command, extra, message) in [
+        ("campaign", &["--depth", "0"][..], "--depth must be at least 1"),
+        ("campaign", &["--n-states", "0"], "--n-states must be at least 1"),
+        ("submit", &["--depth", "0"], "--depth must be at least 1"),
+        ("submit", &["--n-states", "0"], "--n-states must be at least 1"),
+        ("campaign", &["--packed"], "unknown flag `--packed`"),
+    ] {
+        let out = moa()
+            .args([command, &s27_path(), "--random", "8"])
+            .args(extra)
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{command} {extra:?}: {err}");
+        assert!(err.contains(message), "{command} {extra:?}: {err}");
+    }
+}

@@ -6,8 +6,9 @@
 //! (collection), one state-sequence copy created by a split (expansion), or
 //! one sequence-frame advanced during resimulation — each still-undecided
 //! sequence costs one unit per time frame up to and including the frame that
-//! decides it, charged identically by the scalar and packed resimulation
-//! paths so both exhaust a limit at the same spent count. These are the
+//! decides it, marked or not, charged identically by the campaign's
+//! event-driven resimulator and the whole-frame reference so both exhaust a
+//! limit at the same spent count. These are the
 //! three quantities that dominate per-fault cost and that
 //! [`MoaOptions::max_implication_runs`](crate::MoaOptions::max_implication_runs)
 //! alone does not bound.

@@ -18,11 +18,11 @@
 //!   (verdicts are reported positionally, so order is semantic);
 //! - of the options, only the *verdict-relevant* fields are hashed:
 //!   execution strategy knobs that are proven verdict-identical by the
-//!   parity test suite (thread count, packed vs scalar resimulation,
-//!   differential vs full-frame conventional simulation, screening,
-//!   fault collapsing) are excluded, so a cached result can be reused across
-//!   execution strategies. Defaulted and explicitly-spelled-out options
-//!   serialize identically because hashing happens after resolution.
+//!   parity test suite (thread count, differential vs full-frame
+//!   conventional simulation, screening, fault collapsing) are excluded, so
+//!   a cached result can be reused across execution strategies. Defaulted
+//!   and explicitly-spelled-out options serialize identically because
+//!   hashing happens after resolution.
 //!
 //! [`verdict_digest`] is the companion on the *result* side: a canonical
 //! hash over a campaign's per-fault statuses, printed by the CLI and used
@@ -179,11 +179,13 @@ pub fn canonical_fault_text(circuit: &Circuit, fault: &Fault) -> String {
 
 /// Hashes the verdict-relevant slice of the options. Execution-strategy
 /// fields (threads, screening and its lane width / thread count,
-/// differential, packed resimulation) are deliberately absent: the parity
-/// test suite locks them verdict-identical, so requests differing only in
-/// strategy share a cache entry. Every field is written tagged, fixed-width,
-/// in a fixed order — a request with defaulted fields hashes identically to
-/// one spelling the same values out, because both hash the resolved struct.
+/// differential) are deliberately absent: the parity test suite locks them
+/// verdict-identical, so requests differing only in strategy share a cache
+/// entry. Every field is written tagged, fixed-width, in a fixed order — a
+/// request with defaulted fields hashes identically to one spelling the same
+/// values out, because both hash the resolved struct. Values are hashed raw,
+/// so [`JobSpec::new`](crate::spool::JobSpec::new) refuses the zeros the
+/// engine would run as one (`n_states`, `backward_time_units`).
 fn hash_options(h: &mut Fnv128, options: &CampaignOptions) {
     let MoaOptions {
         n_states,
@@ -192,7 +194,6 @@ fn hash_options(h: &mut Fnv128, options: &CampaignOptions) {
         max_implication_runs,
         check_condition_c,
         backward_time_units,
-        packed_resimulation: _,
         include_final_time_unit,
         static_learning,
         max_frontier_states,
@@ -362,7 +363,6 @@ mod tests {
         neutral.screen = false;
         neutral.screen_lanes = crate::ScreenLanes::L256;
         neutral.screen_threads = 4;
-        neutral.moa.packed_resimulation = true;
         // Collapse changes the schedule, never the verdicts: it stays out of
         // the request hash so a collapsed campaign can reuse (and be deduped
         // against) the plain one.

@@ -1,20 +1,20 @@
 //! Lazily-built, shareable cone-of-influence caches.
 //!
-//! Backward chaining asserts values on flip-flop data nets and resimulation
-//! re-evaluates frames after changing flip-flop outputs; both only ever
-//! touch the structural cone of the nets involved. A [`ConeCache`] memoizes
-//! those per-flip-flop regions once per circuit so every fault — and every
-//! campaign worker thread — reuses them instead of re-walking the netlist.
+//! Backward chaining asserts values on flip-flop data nets and only ever
+//! touches the structural cone of the nets involved. A [`ConeCache`]
+//! memoizes those per-flip-flop regions once per circuit so every fault —
+//! and every campaign worker thread — reuses them instead of re-walking the
+//! netlist.
 
 use std::sync::OnceLock;
 
 use moa_analyze::ImplicationDb;
-use moa_netlist::{frame_fanout_cone, Circuit, Driver, GateId, NetId};
+use moa_netlist::{Circuit, NetId};
 
 use crate::imply::ImplyRegion;
 
-/// Per-circuit cache of the cone-restricted gate lists used by the
-/// implication engine and the differential resimulators.
+/// Per-circuit cache of the cone-restricted implication regions used by the
+/// implication engine, plus the statically learned implications.
 ///
 /// All entries are built on first use ([`OnceLock`]), so the cache is cheap
 /// to create and safe to share across campaign worker threads by reference.
@@ -23,10 +23,6 @@ pub struct ConeCache<'a> {
     circuit: &'a Circuit,
     /// Implication region for asserting on flip-flop `i`'s data net.
     imply_regions: Vec<OnceLock<ImplyRegion>>,
-    /// Gates in the within-frame fan-out cone of flip-flop `i`'s output, in
-    /// topological order — the gates whose value can change when present
-    /// state variable `y_i` changes.
-    state_fanout: Vec<OnceLock<Vec<GateId>>>,
     /// Maps a net to the flip-flop whose data input it drives, if any.
     d_net_to_ff: Vec<Option<usize>>,
     /// Statically learned implications (`MoaOptions::static_learning`).
@@ -44,15 +40,9 @@ impl<'a> ConeCache<'a> {
         ConeCache {
             circuit,
             imply_regions: (0..n).map(|_| OnceLock::new()).collect(),
-            state_fanout: (0..n).map(|_| OnceLock::new()).collect(),
             d_net_to_ff,
             learned: OnceLock::new(),
         }
-    }
-
-    /// The circuit the cache was built for.
-    pub fn circuit(&self) -> &'a Circuit {
-        self.circuit
     }
 
     /// The implication region for assertions on flip-flop `ff_index`'s data
@@ -74,25 +64,6 @@ impl<'a> ConeCache<'a> {
         }
     }
 
-    /// Topologically-ordered gates whose output lies in the within-frame
-    /// fan-out cone of flip-flop `ff_index`'s output net — exactly the gates
-    /// that can change value when `y_i` does.
-    pub fn state_fanout(&self, ff_index: usize) -> &[GateId] {
-        self.state_fanout[ff_index].get_or_init(|| {
-            let q = self.circuit.flip_flops()[ff_index].q();
-            let mut in_cone = vec![false; self.circuit.num_nets()];
-            for n in frame_fanout_cone(self.circuit, &[q]) {
-                in_cone[n.index()] = true;
-            }
-            self.circuit
-                .topo_order()
-                .iter()
-                .copied()
-                .filter(|&gid| in_cone[self.circuit.gate(gid).output().index()])
-                .collect()
-        })
-    }
-
     /// The flip-flop whose data input `net` drives, if any.
     pub fn ff_of_d_net(&self, net: NetId) -> Option<usize> {
         self.d_net_to_ff[net.index()]
@@ -105,43 +76,6 @@ impl<'a> ConeCache<'a> {
         self.learned
             .get_or_init(|| ImplicationDb::build(self.circuit))
     }
-}
-
-/// Marks (in `marked`, a per-gate flag vector) the gates of
-/// `cache.state_fanout(i)` for every flip-flop index yielded by `ffs`, and
-/// returns the marked gates in topological order via `order`. Buffers are
-/// caller-owned so frame loops can reuse them.
-pub(crate) fn union_state_fanout(
-    cache: &ConeCache<'_>,
-    ffs: impl Iterator<Item = usize>,
-    marked: &mut Vec<bool>,
-    order: &mut Vec<GateId>,
-) {
-    let circuit = cache.circuit();
-    marked.clear();
-    marked.resize(circuit.num_gates(), false);
-    order.clear();
-    for ff in ffs {
-        for &gid in cache.state_fanout(ff) {
-            marked[gid.index()] = true;
-        }
-    }
-    // topo_order is a permutation of all gates; filtering it preserves
-    // topological order for the union.
-    order.extend(
-        circuit
-            .topo_order()
-            .iter()
-            .copied()
-            .filter(|&gid| marked[gid.index()]),
-    );
-}
-
-/// `true` if `net` is driven by a gate (as opposed to a primary input or a
-/// flip-flop output) — used by resimulators to decide what may be overlaid.
-#[allow(dead_code)]
-pub(crate) fn gate_driven(circuit: &Circuit, net: NetId) -> bool {
-    matches!(circuit.driver(net), Driver::Gate(_))
 }
 
 #[cfg(test)]
@@ -164,30 +98,6 @@ mod tests {
     }
 
     #[test]
-    fn state_fanout_is_topological_and_bounded() {
-        let c = c1();
-        let cache = ConeCache::new(&c);
-        // q1 feeds d0 (via OR) and d1 (via NOT) but never w or z.
-        let names: Vec<&str> = cache
-            .state_fanout(1)
-            .iter()
-            .map(|&g| c.net_name(c.gate(g).output()))
-            .collect();
-        assert!(names.contains(&"d0"));
-        assert!(names.contains(&"d1"));
-        assert!(!names.contains(&"w"));
-        assert!(!names.contains(&"z"));
-        // q0 reaches w, z and d0 but not d1.
-        let names0: Vec<&str> = cache
-            .state_fanout(0)
-            .iter()
-            .map(|&g| c.net_name(c.gate(g).output()))
-            .collect();
-        assert!(names0.contains(&"w"));
-        assert!(!names0.contains(&"d1"));
-    }
-
-    #[test]
     fn region_for_resolves_single_d_net_assignments() {
         let c = c1();
         let cache = ConeCache::new(&c);
@@ -203,27 +113,6 @@ mod tests {
     }
 
     #[test]
-    fn union_state_fanout_merges_in_topo_order() {
-        let c = c1();
-        let cache = ConeCache::new(&c);
-        let mut marked = Vec::new();
-        let mut order = Vec::new();
-        union_state_fanout(&cache, [0usize, 1].into_iter(), &mut marked, &mut order);
-        // Union of both cones covers every gate; order must match topo order.
-        let topo: Vec<GateId> = c
-            .topo_order()
-            .iter()
-            .copied()
-            .filter(|&g| marked[g.index()])
-            .collect();
-        assert_eq!(order, topo);
-        assert_eq!(order.len(), c.num_gates());
-        // Reuse with a smaller set shrinks the list.
-        union_state_fanout(&cache, std::iter::once(1usize), &mut marked, &mut order);
-        assert!(order.len() < c.num_gates());
-    }
-
-    #[test]
     fn cache_is_shareable_across_threads() {
         let c = c1();
         let cache = ConeCache::new(&c);
@@ -231,7 +120,7 @@ mod tests {
             for _ in 0..4 {
                 s.spawn(|| {
                     assert!(cache.imply_region(0).num_gates() > 0);
-                    assert!(!cache.state_fanout(1).is_empty());
+                    assert!(cache.imply_region(1).num_gates() > 0);
                 });
             }
         });

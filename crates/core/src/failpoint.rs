@@ -22,8 +22,7 @@
 //! |---|---|---|
 //! | `fp/expand.split` | Procedure 2 frontier growth | panic, delay, inflate |
 //! | `fp/imply.pass` | every implication-engine pass | panic, delay |
-//! | `fp/resim.frame` | scalar resimulation frame stepping | panic, delay, inflate |
-//! | `fp/resim_packed.frame` | packed resimulation frame stepping | panic, delay, inflate |
+//! | `fp/resim.frame` | resimulation frame stepping | panic, delay, inflate |
 //! | `fp/checkpoint.write` | unsharded v2 serialization + fsync | error, panic, delay |
 //! | `fp/checkpoint.rename` | the atomic rename publishing a checkpoint | error, panic, delay |
 //! | `fp/checkpoint.resume` | checkpoint parsing on resume | error, panic, delay |
@@ -65,7 +64,6 @@ pub const SITES: &[&str] = &[
     "fp/expand.split",
     "fp/imply.pass",
     "fp/resim.frame",
-    "fp/resim_packed.frame",
     "fp/checkpoint.write",
     "fp/checkpoint.rename",
     "fp/checkpoint.resume",
@@ -190,18 +188,6 @@ impl ChaosSchedule {
             )
             .with_site(
                 "fp/resim.frame",
-                SitePlan::new(
-                    0.005,
-                    vec![
-                        FailAction::InflateWork(1 << 14),
-                        FailAction::Delay(ms(1)),
-                        FailAction::Panic,
-                    ],
-                )
-                .with_max_fires(64),
-            )
-            .with_site(
-                "fp/resim_packed.frame",
                 SitePlan::new(
                     0.005,
                     vec![

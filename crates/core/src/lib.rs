@@ -138,7 +138,6 @@ pub mod imply;
 mod options;
 mod procedure;
 mod resim;
-mod resim_packed;
 pub mod serve;
 pub mod shard;
 pub mod spool;

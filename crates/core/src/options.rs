@@ -57,11 +57,6 @@ pub struct MoaOptions {
     /// `u - 2` and implications continue, up to `k` frames back — the
     /// multi-time-unit extension the paper describes in Section 2.
     pub backward_time_units: usize,
-    /// Resimulate the expanded sequences with the 64-way dual-rail packed
-    /// simulator instead of one sequence at a time. Outcome-equivalent to the
-    /// scalar path (asserted by tests); the paper's `N_STATES = 64` fits one
-    /// machine word exactly.
-    pub packed_resimulation: bool,
     /// Also collect pairs at time unit `u = L` (backward implications into
     /// the final frame). The paper's Section 3.1 text restricts collection to
     /// `0 < u < L`, although its condition (C1) admits `u = L`; disabled by
@@ -104,7 +99,6 @@ impl MoaOptions {
             max_implication_runs: 4096,
             check_condition_c: true,
             backward_time_units: 1,
-            packed_resimulation: false,
             include_final_time_unit: false,
             static_learning: false,
             max_frontier_states: None,

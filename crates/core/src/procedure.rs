@@ -19,7 +19,6 @@ use crate::detect::detection_from_collection;
 use crate::error::Error;
 use crate::expand::{expand_metered, ExpandOutcome};
 use crate::resim::resimulate_differential_metered;
-use crate::resim_packed::resimulate_packed_differential_metered;
 use crate::MoaOptions;
 
 /// How (or whether) a fault was identified as detected.
@@ -690,20 +689,8 @@ fn run_expansion_stages(
     let total = sequences.len();
     let pre_resim = want_certificate.then(|| sequences.clone());
     let started = Instant::now();
-    let verdict = if options.packed_resimulation {
-        resimulate_packed_differential_metered(
-            circuit,
-            seq,
-            good,
-            Some(fault),
-            cache,
-            cones,
-            &sequences,
-            meter,
-        )
-    } else {
-        resimulate_differential_metered(circuit, seq, good, Some(fault), cache, sequences, meter)
-    };
+    let verdict =
+        resimulate_differential_metered(circuit, seq, good, Some(fault), cache, sequences, meter);
     meter.perf.resim_nanos += started.elapsed().as_nanos() as u64;
     if meter.is_exhausted() {
         return (

@@ -81,11 +81,10 @@ pub fn resimulate(
 
 /// Like [`resimulate`], charging one work unit per sequence-frame advanced
 /// against `meter` — every frame up to the one that decides the sequence
-/// counts, whether or not it is marked (only marked frames are *evaluated*;
-/// the uniform unit keeps the accounting identical to the packed
-/// resimulator, which cannot skip unmarked frames per slot). When the meter
-/// exhausts, the remaining sequences are left
-/// [`SequenceOutcome::Undecided`]; the caller must check
+/// counts, whether or not it is marked (only marked frames are *evaluated*),
+/// so the budget measures progress through the test sequence rather than
+/// evaluation effort. When the meter exhausts, the remaining sequences are
+/// left [`SequenceOutcome::Undecided`]; the caller must check
 /// [`BudgetMeter::is_exhausted`] and discard the partial verdict.
 pub fn resimulate_metered(
     circuit: &Circuit,
@@ -108,14 +107,14 @@ pub fn resimulate_metered(
     ResimVerdict { outcomes }
 }
 
-/// The differential sibling of [`resimulate_metered`]: instead of evaluating
-/// every marked frame from scratch, each frame starts from the cached faulty
-/// frame of `cache` (computed once, with the fault injected, and shared with
-/// the collection sweep) and an event-driven simulator propagates only the
-/// state variables in which the expanded sequence differs from the
-/// conventional faulty trace. Outcomes and budget charges are identical to
-/// the full-frame path — locked in by parity tests — only the gate-visit
-/// count changes.
+/// The campaign's resimulator, the differential sibling of
+/// [`resimulate_metered`]: instead of evaluating every marked frame from
+/// scratch, each frame starts from the cached faulty frame of `cache`
+/// (computed once, with the fault injected, and shared with the collection
+/// sweep) and an event-driven simulator propagates only the state variables
+/// in which the expanded sequence differs from the conventional faulty
+/// trace. Outcomes and budget charges are identical to the full-frame path
+/// — locked in by parity tests — only the gate-visit count changes.
 pub(crate) fn resimulate_differential_metered(
     circuit: &Circuit,
     seq: &TestSequence,
@@ -205,7 +204,7 @@ fn resimulate_one(
         fail_hit!("fp/resim.frame", meter);
         // One unit per frame advanced, marked or not: the budget measures
         // progress through the sequence, not evaluation effort, so the
-        // scalar and packed paths exhaust at identical work counts.
+        // whole-frame and differential paths exhaust at identical counts.
         if !meter.charge(1) {
             return SequenceOutcome::Undecided;
         }
@@ -360,14 +359,15 @@ mod tests {
 
     /// Locks the event-driven differential path against the full-frame scalar
     /// path: identical outcomes and identical budget accounting at unlimited
-    /// budget and at every work limit below the total.
+    /// budget and at every work limit below the total, where both trip at
+    /// `limit + 1` (one unit per frame). Returns the unlimited verdict.
     fn assert_differential_parity(
         c: &Circuit,
         seq: &TestSequence,
         good: &SimTrace,
         fault: Option<&Fault>,
         sequences: &[StateSequence],
-    ) {
+    ) -> ResimVerdict {
         use crate::budget::FaultBudget;
         let faulty = simulate(c, seq, fault);
         let cache = FrameCache::new(c, seq, &faulty, fault);
@@ -402,8 +402,79 @@ mod tests {
                 &mut m_diff,
             );
             assert_eq!(full.outcomes, diff.outcomes, "outcomes at limit {limit}");
+            assert!(m_full.is_exhausted() && m_diff.is_exhausted(), "limit {limit}");
             assert_eq!(m_full.spent(), m_diff.spent(), "spend at limit {limit}");
+            assert_eq!(m_diff.spent(), limit + 1);
         }
+        diff
+    }
+
+    /// d = AND(r, NOT q), z = BUF(q) with r stuck-at-1: the faulty machine
+    /// toggles from any known state, and the good one holds q at 0.
+    fn toggle() -> (Circuit, TestSequence, SimTrace, Fault) {
+        let mut b = CircuitBuilder::new("toggle");
+        b.add_input("r").unwrap();
+        b.add_flip_flop("q", "d").unwrap();
+        b.add_gate(GateKind::Not, "nq", &["q"]).unwrap();
+        b.add_gate(GateKind::And, "d", &["r", "nq"]).unwrap();
+        b.add_gate(GateKind::Buf, "z", &["q"]).unwrap();
+        b.add_output("z");
+        let c = b.finish().unwrap();
+        let seq = TestSequence::from_words(&["0", "0", "0"]).unwrap();
+        let good = simulate(&c, &seq, None);
+        let fault = Fault::stem(c.find_net("r").unwrap(), true);
+        (c, seq, good, fault)
+    }
+
+    #[test]
+    fn differential_matches_full_frame_on_the_toggle_expanded_at_frame_1() {
+        let (c, seq, good, fault) = toggle();
+        let faulty = simulate(&c, &seq, Some(&fault));
+        let base = StateSequence::from_trace(&faulty);
+        let mut s0 = base.clone();
+        assert!(s0.assign(1, 0, V3::Zero));
+        let mut s1 = base;
+        assert!(s1.assign(1, 0, V3::One));
+        let verdict = assert_differential_parity(&c, &seq, &good, Some(&fault), &[s0, s1]);
+        assert!(verdict.detected());
+    }
+
+    #[test]
+    fn differential_matches_full_frame_on_a_mixed_population() {
+        // 81 sequences: 80 expanded at frame 1 and decided at different
+        // frames, plus one never-marked sequence that stays undecided for
+        // the full length.
+        let (c, seq, good, fault) = toggle();
+        let faulty = simulate(&c, &seq, Some(&fault));
+        let base = StateSequence::from_trace(&faulty);
+        let mut sequences = Vec::new();
+        for n in 0..80 {
+            let mut s = base.clone();
+            assert!(s.assign(1, 0, V3::from_bool(n % 2 == 0)));
+            sequences.push(s);
+        }
+        sequences.push(base);
+        let verdict = assert_differential_parity(&c, &seq, &good, Some(&fault), &sequences);
+        assert_eq!(verdict.outcomes.len(), 81);
+        assert_eq!(verdict.outcomes[80], SequenceOutcome::Undecided);
+        let decided_at: std::collections::BTreeSet<usize> = verdict
+            .outcomes
+            .iter()
+            .filter_map(|o| match o {
+                SequenceOutcome::Detected(d) => Some(d.time),
+                SequenceOutcome::Infeasible { time } => Some(*time),
+                SequenceOutcome::Undecided => None,
+            })
+            .collect();
+        assert!(decided_at.len() > 1, "decided at frames {decided_at:?}");
+    }
+
+    #[test]
+    fn differential_of_no_sequences_is_an_empty_verdict() {
+        let (c, seq, good, fault) = toggle();
+        let verdict = assert_differential_parity(&c, &seq, &good, Some(&fault), &[]);
+        assert!(verdict.outcomes.is_empty());
+        assert!(!verdict.detected());
     }
 
     #[test]

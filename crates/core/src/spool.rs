@@ -93,11 +93,21 @@ impl JobSpec {
                 message: "the test sequence is empty".into(),
             });
         }
-        if options.moa.implication_rounds == 0 {
-            return Err(Error::Spool {
-                path: "<submission>".into(),
-                message: "option implication_rounds must be at least 1".into(),
-            });
+        // No backward implication runs zero rounds, and the engine runs zero
+        // time units or states as one while the request hash keeps the raw
+        // value: refuse all three, so one request never gets two hashes.
+        let m = &options.moa;
+        for (key, value) in [
+            ("implication_rounds", m.implication_rounds),
+            ("backward_time_units", m.backward_time_units),
+            ("n_states", m.n_states),
+        ] {
+            if value == 0 {
+                return Err(Error::Spool {
+                    path: "<submission>".into(),
+                    message: format!("option {key} must be at least 1"),
+                });
+            }
         }
         Ok(JobSpec {
             circuit,
@@ -135,7 +145,6 @@ impl JobSpec {
         out.push_str(&format!("opt max_implication_runs {}\n", m.max_implication_runs));
         out.push_str(&format!("opt check_condition_c {}\n", m.check_condition_c));
         out.push_str(&format!("opt backward_time_units {}\n", m.backward_time_units));
-        out.push_str(&format!("opt packed_resimulation {}\n", m.packed_resimulation));
         out.push_str(&format!("opt include_final_time_unit {}\n", m.include_final_time_unit));
         out.push_str(&format!("opt static_learning {}\n", m.static_learning));
         if let Some(states) = m.max_frontier_states {
@@ -243,12 +252,11 @@ fn apply_option(options: &mut CampaignOptions, key: &str, value: &str) -> Result
         "max_implication_runs" => m.max_implication_runs = num(key, value)?,
         "check_condition_c" => m.check_condition_c = flag(key, value)?,
         "backward_time_units" => m.backward_time_units = num(key, value)?,
-        "packed_resimulation" => m.packed_resimulation = flag(key, value)?,
         "include_final_time_unit" => m.include_final_time_unit = flag(key, value)?,
-        // Retired engine switch: specs written before its removal still
-        // carry the line. It never entered the request hash, so it is
+        // Retired engine switches: specs written before their removal still
+        // carry the lines. Neither entered the request hash, so both are
         // validated and dropped.
-        "cone_bounded" => {
+        "cone_bounded" | "packed_resimulation" => {
             flag(key, value)?;
         }
         "static_learning" => m.static_learning = flag(key, value)?,
@@ -611,7 +619,7 @@ fn atomic_publish(path: &Path, bytes: &[u8]) -> Result<(), Error> {
 mod tests {
     use super::*;
     use crate::campaign::run_campaign;
-    use crate::FaultBudget;
+    use crate::{FaultBudget, MoaOptions};
 
     const TOGGLE: &str =
         "INPUT(r)\nOUTPUT(z)\nq = DFF(d)\nnq = NOT(q)\nd = AND(r, nq)\nz = BUFF(q)\n";
@@ -654,9 +662,10 @@ mod tests {
     }
 
     #[test]
-    fn spec_with_retired_cone_bounded_line_parses_to_the_same_hash() {
+    fn spec_with_retired_engine_switches_parses_to_the_same_hash() {
         // A spec exactly as written before `cone_bounded` was retired, with
         // both execution-only engine switches flipped from their defaults.
+        // `packed_resimulation` has been retired since.
         let text = concat!(
             "moa-job-spec v1\n",
             "bench 69\n",
@@ -688,23 +697,27 @@ mod tests {
             "end\n",
         );
         let parsed = JobSpec::parse(text).expect("a pre-retirement spec still parses");
-        assert!(parsed.options.moa.packed_resimulation);
         // The hash the writing release computed for this request.
         assert_eq!(parsed.hash().to_string(), "2dfd90ad925f196e1251f7300abb9271");
         assert_eq!(parsed.hash(), spec().hash(), "engine switches stay out of the hash");
-        assert!(!parsed.to_text().contains("cone_bounded"), "the line is not written back");
-        assert!(
-            JobSpec::parse(&text.replace("opt cone_bounded false", "opt cone_bounded maybe"))
-                .is_err(),
-            "the retired line is still validated"
-        );
+        for (line, damaged) in [
+            ("opt cone_bounded false", "opt cone_bounded maybe"),
+            ("opt packed_resimulation true", "opt packed_resimulation maybe"),
+        ] {
+            let key = line.split(' ').nth(1).unwrap();
+            assert!(!parsed.to_text().contains(key), "{key} is not written back");
+            assert!(
+                JobSpec::parse(&text.replace(line, damaged)).is_err(),
+                "the retired {key} line is still validated"
+            );
+        }
     }
 
     #[test]
     fn spec_with_retired_worker_retries_line_parses_to_the_same_hash() {
         // The default spec exactly as written before the worker-respawn
-        // budget was retired. Its `order` and `degrade_adaptive` lines have
-        // been retired since.
+        // budget was retired. Its `order`, `degrade_adaptive` and
+        // `packed_resimulation` lines have been retired since.
         let text = concat!(
             "moa-job-spec v1\n",
             "bench 69\n",
@@ -742,7 +755,8 @@ mod tests {
             parsed.to_text(),
             text.replace("opt worker_retries 2\n", "")
                 .replace("opt degrade_adaptive false\n", "")
-                .replace("opt order natural\n", ""),
+                .replace("opt order natural\n", "")
+                .replace("opt packed_resimulation false\n", ""),
             "only the retired lines are dropped on write-back"
         );
         let with = |from: &str, to: &str| JobSpec::parse(&text.replace(from, to));
@@ -756,6 +770,10 @@ mod tests {
         assert!(
             with("opt degrade_adaptive false", "opt degrade_adaptive maybe").is_err(),
             "the retired flag is still validated"
+        );
+        assert!(
+            with("opt packed_resimulation false", "opt packed_resimulation maybe").is_err(),
+            "the retired switch is still validated"
         );
         let err = with("opt degrade_adaptive false", "opt degrade_adaptive true").unwrap_err();
         let message = err.to_string();
@@ -776,17 +794,27 @@ mod tests {
             JobSpec::parse(&text.replace("faults full", "faults some")).is_err(),
             "fault selector"
         );
-        assert!(
-            JobSpec::parse(&text.replace("opt implication_rounds 1", "opt implication_rounds 0"))
-                .is_err(),
-            "zero implication rounds"
-        );
         let err = JobSpec::new(TOGGLE, "00\n", CampaignOptions::new()).unwrap_err();
         assert!(err.to_string().contains("primary inputs"), "{err}");
-        let mut no_rounds = CampaignOptions::new();
-        no_rounds.moa.implication_rounds = 0;
-        let err = JobSpec::new(TOGGLE, "0\n", no_rounds).unwrap_err();
-        assert!(err.to_string().contains("implication_rounds"), "{err}");
+        for (key, zero) in [
+            ("implication_rounds", MoaOptions::default().with_implication_rounds(0)),
+            ("backward_time_units", MoaOptions::default().with_backward_time_units(0)),
+            ("n_states", MoaOptions::default().with_n_states(0)),
+        ] {
+            let options = CampaignOptions {
+                moa: zero,
+                ..CampaignOptions::new()
+            };
+            let message = JobSpec::new(TOGGLE, "0\n", options).unwrap_err().to_string();
+            assert!(message.contains("<submission>"), "located: {message}");
+            assert!(message.contains(key), "names the option: {message}");
+            let written = spec().to_text();
+            let line = written.lines().find(|l| l.starts_with(&format!("opt {key} "))).unwrap();
+            assert!(
+                JobSpec::parse(&written.replace(line, &format!("opt {key} 0"))).is_err(),
+                "a stored spec with {key} 0 is refused too"
+            );
+        }
     }
 
     #[test]

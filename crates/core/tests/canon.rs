@@ -9,8 +9,8 @@
 //!   lines (which renumbers every internal net id), renaming the circuit's
 //!   display name, or spelling out defaulted options explicitly;
 //! - *execution-strategy* knobs proven verdict-neutral by the parity suite
-//!   (threads, packed resimulation, differential, screening)
-//!   never move it either — a cached verdict is reusable across them;
+//!   (threads, differential, screening) never move it either — a cached
+//!   verdict is reusable across them;
 //! - *semantic* changes always move it: option values the verdicts depend
 //!   on, the test sequence, and the fault list order (verdicts are
 //!   positional).
@@ -111,7 +111,6 @@ proptest! {
     fn verdict_neutral_knobs_never_move_the_hash(
         seed in 0u64..1000,
         threads in 1usize..9,
-        packed in any::<bool>(),
         differential in any::<bool>(),
         screen in any::<bool>(),
     ) {
@@ -121,7 +120,6 @@ proptest! {
         let base = request_hash(&c, &seq, &faults, &CampaignOptions::new());
         let mut tweaked = CampaignOptions::new();
         tweaked.threads = threads;
-        tweaked.moa.packed_resimulation = packed;
         tweaked.differential = differential;
         tweaked.screen = screen;
         prop_assert_eq!(base, request_hash(&c, &seq, &faults, &tweaked));

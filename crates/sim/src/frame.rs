@@ -31,11 +31,6 @@ impl NetValues {
         self.values.is_empty()
     }
 
-    /// The raw values slice.
-    pub fn as_slice(&self) -> &[V3] {
-        &self.values
-    }
-
     /// Number of nets currently specified (binary).
     pub fn num_specified(&self) -> usize {
         self.values.iter().filter(|v| v.is_specified()).count()

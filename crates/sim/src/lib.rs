@@ -52,8 +52,7 @@ pub use event::EventSim;
 pub use frame::{compute_frame, frame_next_state, frame_outputs, NetValues};
 pub use packed::{packed_next_state, packed_outputs, run_packed_frame, PackedValues};
 pub use packed3::{
-    packed3_next_state, run_packed3_frame, run_packed3_gates, Packed3, Packed3Values, PackedV3,
-    PackedV3Values,
+    packed3_next_state, run_packed3_frame, Packed3, Packed3Values, PackedV3, PackedV3Values,
 };
 pub use packed_faults::{
     screen_faults, screen_faults_wide, FaultBatch, ScreenLanes, ScreenOutcome, SCREEN_LANES,

@@ -7,16 +7,14 @@
 //!
 //! The value type is generic over the [`Word`] carrying the lanes:
 //! [`PackedV3<u64>`] is the paper's configuration — its `N_STATES = 64`
-//! expanded state sequences fit one machine word exactly, which is what
-//! `moa-core`'s packed resimulation exploits — and the [`Packed3`] alias
-//! keeps that 64-lane shape as the default vocabulary. The wide-word
+//! expanded state sequences fit one machine word exactly — and the
+//! [`Packed3`] alias keeps that 64-lane shape as the default vocabulary. The wide-word
 //! screening kernel ([`crate::screen_faults_wide`]) instantiates the same
 //! dual-rail algebra at 128 and 256 lanes.
 
 use moa_logic::{GateKind, V3};
-use moa_netlist::{Circuit, Fault, FaultSite, FlipFlopId, GateId, NetId};
+use moa_netlist::{Circuit, Fault, FaultSite, FlipFlopId, NetId};
 
-use crate::frame::NetValues;
 use crate::word::Word;
 
 /// A dual-rail three-valued value with one slot per lane of `W`.
@@ -156,15 +154,6 @@ impl<W: Word> PackedV3Values<W> {
     pub fn set(&mut self, net: NetId, v: PackedV3<W>) {
         self.values[net.index()] = v;
     }
-
-    /// Overwrites every net with the broadcast of its scalar value in
-    /// `base`, reusing the allocation — the starting point of a differential
-    /// packed evaluation.
-    pub fn broadcast_from(&mut self, base: &NetValues) {
-        self.values.clear();
-        self.values
-            .extend(base.as_slice().iter().map(|&v| PackedV3::broadcast(v)));
-    }
 }
 
 /// Evaluates one time frame for 64 three-valued scenarios at once.
@@ -174,8 +163,7 @@ impl<W: Word> PackedV3Values<W> {
 /// `present_state[i]` gives flip-flop `i`'s per-slot dual-rail values.
 /// `fault` is injected in every slot.
 ///
-/// The engines evaluate cones with [`run_packed3_gates`] directly; this
-/// whole-frame driver over [`Circuit::topo_order`] is what the unit and
+/// No engine runs it: it is the dual-rail reference that the unit and
 /// property tests check slot by slot against the scalar
 /// [`compute_frame`](crate::compute_frame).
 ///
@@ -208,22 +196,8 @@ pub fn run_packed3_frame(
         }
     }
 
-    run_packed3_gates(circuit, &mut values, circuit.topo_order(), fault);
-    values
-}
-
-/// Evaluates `gates` over `values` in the given order, injecting `fault`
-/// exactly as [`run_packed3_frame`] does (branch faults pin the reading pin,
-/// a stem fault pins the gate's output). Callers restricting evaluation to a
-/// cone must pass its gates in topological order; every other net keeps its
-/// current value.
-pub fn run_packed3_gates(
-    circuit: &Circuit,
-    values: &mut Packed3Values,
-    gates: &[GateId],
-    fault: Option<&Fault>,
-) {
-    for &gid in gates {
+    // Branch faults pin the reading pin; a stem fault pins the gate's output.
+    for &gid in circuit.topo_order() {
         let gate = circuit.gate(gid);
         let pin = |pin_index: usize| -> Packed3 {
             if let Some(f) = fault {
@@ -265,6 +239,7 @@ pub fn run_packed3_gates(
         }
         values.set(gate.output(), out);
     }
+    values
 }
 
 /// Reads the packed next state, applying a flip-flop-input branch fault.

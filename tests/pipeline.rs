@@ -5,7 +5,7 @@ use moa_repro::circuits::suite::{entry, suite};
 use moa_repro::circuits::synth::{generate, SynthSpec};
 use moa_repro::circuits::teaching::resettable_toggle;
 use moa_repro::core::{
-    run_campaign, simulate_fault, CampaignOptions, FaultStatus, MoaOptions,
+    explain_fault, run_campaign, simulate_fault, CampaignOptions, FaultStatus, MoaOptions,
 };
 use moa_repro::netlist::{collapse_faults, full_fault_list};
 use moa_repro::sim::{simulate, TestSequence};
@@ -181,30 +181,27 @@ fn include_final_time_unit_only_adds_detections() {
     assert!(with_final.detected_total() >= base.detected_total());
 }
 
+/// The campaign resimulates with the event-driven differential engine;
+/// `explain_fault` walks the same procedure with the whole-frame
+/// `resimulate` reference. Every default-campaign status must match it.
 #[test]
-fn packed_and_scalar_resimulation_agree_campaign_wide() {
+fn campaign_resimulation_matches_the_whole_frame_reference() {
+    let mut resimulated = 0;
     for seed in [3u64, 7, 11] {
         let circuit = generate(&SynthSpec::new(format!("pk{seed}"), 5, 3, 7, 70, seed));
         let seq = random_sequence(&circuit, 32, seed + 100);
         let faults = collapse_faults(&circuit, &full_fault_list(&circuit))
             .representatives()
             .to_vec();
-        let scalar = run_campaign(&circuit, &seq, &faults, &CampaignOptions::new());
-        let packed = run_campaign(
-            &circuit,
-            &seq,
-            &faults,
-            &CampaignOptions {
-                moa: MoaOptions {
-                    packed_resimulation: true,
-                    ..Default::default()
-                },
-                threads: 1,
-                ..Default::default()
-            },
-        );
-        assert_eq!(scalar.statuses, packed.statuses, "seed {seed}");
+        let campaign = run_campaign(&circuit, &seq, &faults, &CampaignOptions::new());
+        let good = simulate(&circuit, &seq, None);
+        for (fault, status) in faults.iter().zip(&campaign.statuses) {
+            let reference = explain_fault(&circuit, &seq, &good, fault, &MoaOptions::default());
+            assert_eq!(status, &reference.status, "seed {seed}: {}", reference.fault);
+            resimulated += usize::from(reference.sequences > 0);
+        }
     }
+    assert!(resimulated > 0, "no fault reached resimulation");
 }
 
 #[test]

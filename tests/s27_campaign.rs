@@ -59,25 +59,16 @@ fn s27_campaign_snapshot() {
         }
     }
 
-    // Options equivalences on the full circuit: packed resim and depth-2
-    // chaining keep the same detected set here.
-    for moa in [
-        MoaOptions {
-            packed_resimulation: true,
+    // Depth-2 chaining keeps the same detected set on the full circuit here.
+    let deep = run_campaign(
+        &c,
+        &seq,
+        &faults,
+        &CampaignOptions {
+            moa: MoaOptions::default().with_backward_time_units(2),
+            threads: 1,
             ..Default::default()
         },
-        MoaOptions::default().with_backward_time_units(2),
-    ] {
-        let alt = run_campaign(
-            &c,
-            &seq,
-            &faults,
-            &CampaignOptions {
-                moa,
-                threads: 1,
-                ..Default::default()
-            },
-        );
-        assert_eq!(alt.detected_total(), proposed.detected_total());
-    }
+    );
+    assert_eq!(deep.detected_total(), proposed.detected_total());
 }
