@@ -2,7 +2,7 @@
 //! untestability proofs.
 //!
 //! This crate looks at a [`moa_netlist::Circuit`] *before* any simulation
-//! runs and extracts three kinds of knowledge:
+//! runs and extracts four kinds of knowledge:
 //!
 //! - **Structural lints** ([`passes`]): a [`Pass`] framework emitting located
 //!   [`Diagnostic`]s — combinational cycles, undriven and floating nets,
@@ -17,13 +17,12 @@
 //!   marking stuck-at faults that no test can ever detect — unobservable
 //!   fault sites and constant lines stuck at their constant — so fault
 //!   campaigns can skip them with zero simulation work.
-//! - **Fault collapsing** ([`collapse`]): equivalence classes and dominance
-//!   pairs over a concrete fault list ([`CollapseAnalysis`]), each collapsed
-//!   member backed by a re-validatable [`CollapseCertificate`], so campaigns
-//!   can simulate one representative per class and expand the verdict.
 //! - **Testability estimates** ([`scoap`]): SCOAP-style controllability and
-//!   observability measures ([`Testability`]) used to order campaign fault
-//!   lists hardest-first or cheapest-first.
+//!   observability measures ([`Testability`]), reported by `moa analyze` as
+//!   per-fault detection-cost statistics.
+//!
+//! Fault collapsing is structural and lives in `moa_netlist`
+//! (`collapse_faults`, `dominance_relations`).
 //!
 //! # Example
 //!
@@ -47,7 +46,6 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-pub mod collapse;
 mod diagnostic;
 #[cfg(feature = "failpoints")]
 pub mod failpoint;
@@ -56,7 +54,6 @@ pub mod passes;
 pub mod scoap;
 pub mod untestable;
 
-pub use collapse::{CollapseAnalysis, CollapseCertificate, FaultClass};
 pub use diagnostic::{AnalysisReport, Diagnostic, Severity};
 pub use learn::ImplicationDb;
 pub use passes::{analyze_circuit, default_passes, run_passes, AnalysisContext, Pass};

@@ -5,11 +5,10 @@ use std::fmt::Write as _;
 use std::io::Write;
 
 use moa_analyze::{
-    analyze_circuit, AnalysisReport, CollapseAnalysis, ImplicationDb, Severity, Testability,
-    UntestableScreen,
+    analyze_circuit, AnalysisReport, ImplicationDb, Severity, Testability, UntestableScreen,
 };
 use moa_circuits::suite::suite;
-use moa_netlist::{full_fault_list, Circuit};
+use moa_netlist::{collapse_faults, dominance_relations, full_fault_list, Circuit};
 
 use crate::{load_circuit, ArgParser, CliError};
 
@@ -99,10 +98,9 @@ impl<'a> Analysis<'a> {
                 None => {}
             }
         }
-        // Static collapse structure and SCOAP testability over the full
-        // fault list. Unreachable costs (dead or constant sites) are counted
-        // separately so they don't drown the mean.
-        let collapse = CollapseAnalysis::of(circuit, &faults);
+        // SCOAP testability over the full fault list. Unreachable costs (dead
+        // or constant sites) are counted separately so they don't drown the
+        // mean.
         let testability = Testability::build(circuit);
         let mut scoap_unreachable = 0usize;
         let mut scoap_max = 0u64;
@@ -130,8 +128,8 @@ impl<'a> Analysis<'a> {
             total_faults: faults.len(),
             unobservable,
             constant,
-            classes: collapse.classes().len(),
-            dominance_pairs: collapse.dominance().len(),
+            classes: collapse_faults(circuit, &faults).len(),
+            dominance_pairs: dominance_relations(circuit).len(),
             scoap_mean,
             scoap_max,
             scoap_unreachable,

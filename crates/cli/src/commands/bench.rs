@@ -5,9 +5,9 @@
 //! fixed thread count: packed parallel-fault conventional screening,
 //! differential conventional simulation, and the per-fault MOA procedure
 //! (backward implications, expansion, resimulation). A second, untimed run
-//! repeats the configuration over the full fault list with collapsing and
-//! certificate auditing enabled and reports its `audit_failed` count — any
-//! nonzero value fails the command.
+//! repeats the configuration over the full fault list with certificate
+//! auditing enabled and reports its `audit_failed` count — any nonzero value
+//! fails the command.
 //!
 //! `--out FILE` writes a JSON report; `--check FILE` compares the screened
 //! faults/sec of this run against a previously committed report and fails on
@@ -15,8 +15,8 @@
 //! are the baseline; no reference configuration is re-run live.
 //!
 //! A separate *screening kernel* micro-benchmark isolates the packed
-//! parallel-fault pre-pass: the full fault list is screened once with the
-//! 64-lane single-threaded reference kernel and once at the configured
+//! parallel-fault pre-pass: the collapsed fault list is screened once with
+//! the 64-lane single-threaded reference kernel and once at the configured
 //! `--screen-lanes`/`--screen-threads`, the detections and condition-(C)
 //! bits are asserted bit-identical, and both throughputs (plus their ratio)
 //! are reported per circuit and in aggregate.
@@ -56,8 +56,6 @@ struct BenchRow {
     audit_failed: Option<usize>,
     collapse_total: usize,
     collapse_classes: usize,
-    collapse_inherited: Option<usize>,
-    collapse_audited: Option<usize>,
     screen_lanes: usize,
     screen_threads: usize,
     screen_base_ms: f64,
@@ -165,9 +163,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         let seq = random_sequence(&circuit, e.sequence_length, e.spec.seed);
         let full = full_fault_list(&circuit);
         let faults = collapse_faults(&circuit, &full).representatives().to_vec();
-        // Static collapse statistics over the *full* list: what the timed
-        // runs below get to skip by simulating representatives only.
-        let analysis = moa_core::CollapseAnalysis::of(&circuit, &full);
 
         let screened_opts = CampaignOptions {
             threads,
@@ -182,14 +177,13 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             .map_err(|err| CliError::Failed(err.to_string()))?;
         let screened_ms = started.elapsed().as_secs_f64() * 1e3;
 
-        // The untimed verification run audits the *collapsed full-list*
-        // campaign: every inherited detection's certificate is replayed
-        // against the member fault, so a wrong equivalence class would fail
-        // the bench, and its CollapseReport feeds the stats below.
-        let (audit_failed, collapse_inherited, collapse_audited) = if audit {
+        // The untimed verification run audits the *full-list* campaign:
+        // equivalent faults share a screen lane, and each member's own
+        // certificate is replayed against the member fault, so a wrong
+        // equivalence class would fail the bench.
+        let audit_failed = if audit {
             let audited_opts = CampaignOptions {
                 audit: Some(CampaignAudit::default()),
-                collapse: true,
                 ..screened_opts
             };
             let audited = try_run_campaign(&circuit, &seq, &full, &audited_opts)
@@ -200,21 +194,13 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
                     e.name, audited.audit_failed
                 )));
             }
-            let report = audited
-                .collapse
-                .as_ref()
-                .ok_or_else(|| CliError::Failed(format!("{}: no collapse report", e.name)))?;
-            (
-                Some(audited.audit_failed),
-                Some(report.inherited),
-                Some(report.audited),
-            )
+            Some(audited.audit_failed)
         } else {
-            (None, None, None)
+            None
         };
 
-        // Screening-kernel micro-benchmark: the same full fault list through
-        // the packed pre-pass alone, at the 64-lane single-threaded
+        // Screening-kernel micro-benchmark: the same collapsed fault list
+        // through the packed pre-pass alone, at the 64-lane single-threaded
         // reference and at the configured width/threads. Identical
         // detections and condition-(C) bits are a hard requirement, not a
         // statistic.
@@ -252,10 +238,8 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             partial: screened.partial_summary().partial,
             coverage_lower_bound: screened.coverage_lower_bound(),
             audit_failed,
-            collapse_total: analysis.total(),
-            collapse_classes: analysis.classes().len(),
-            collapse_inherited,
-            collapse_audited,
+            collapse_total: full.len(),
+            collapse_classes: faults.len(),
             screen_lanes: screen_lanes.lanes(),
             screen_threads,
             screen_base_ms,
@@ -313,27 +297,22 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
          ({base_total_ms:.1} ms base vs {wide_total_ms:.1} ms wide)"
     )?;
 
-    // Collapse statistics: the static class structure, plus (when the audit
-    // run is on) how many members inherited their representative's verdict
-    // and how many inherited certificates were replayed.
+    // Collapse statistics: the static class structure of the full list.
     writeln!(out, "\nfault collapsing (one representative per equivalence class):")?;
     writeln!(
         out,
-        "{:<10} {:>9} {:>9} {:>10} {:>7} {:>10} {:>8}",
-        "circuit", "faults", "classes", "collapsed", "ratio", "inherited", "audited"
+        "{:<10} {:>9} {:>9} {:>10} {:>7}",
+        "circuit", "faults", "classes", "collapsed", "ratio"
     )?;
     for r in &rows {
-        let opt = |v: Option<usize>| v.map_or_else(|| "-".to_owned(), |n| n.to_string());
         writeln!(
             out,
-            "{:<10} {:>9} {:>9} {:>10} {:>6.1}% {:>10} {:>8}",
+            "{:<10} {:>9} {:>9} {:>10} {:>6.1}%",
             r.name,
             r.collapse_total,
             r.collapse_classes,
             r.collapse_total - r.collapse_classes,
-            r.collapse_ratio() * 100.0,
-            opt(r.collapse_inherited),
-            opt(r.collapse_audited)
+            r.collapse_ratio() * 100.0
         )?;
     }
 
@@ -356,7 +335,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 fn render_json(rows: &[BenchRow], quick: bool) -> String {
     let mut s = String::new();
     s.push_str("{\n");
-    s.push_str("  \"version\": 3,\n");
+    s.push_str("  \"version\": 4,\n");
     s.push_str(&format!("  \"quick\": {quick},\n"));
     s.push_str("  \"circuits\": [\n");
     for (i, r) in rows.iter().enumerate() {
@@ -387,16 +366,13 @@ fn render_json(rows: &[BenchRow], quick: bool) -> String {
         ));
         // Key names avoid the `"faults_per_sec"` literal on purpose (see the
         // kernel-key comment above).
-        let opt = |v: Option<usize>| v.map_or_else(|| "null".to_owned(), |n| n.to_string());
         s.push_str(&format!(
             "      \"collapse\": {{\"total\": {}, \"classes\": {}, \"collapsed\": {}, \
-             \"ratio\": {:.4}, \"inherited\": {}, \"audited\": {}}},\n",
+             \"ratio\": {:.4}}},\n",
             r.collapse_total,
             r.collapse_classes,
             r.collapse_total - r.collapse_classes,
-            r.collapse_ratio(),
-            opt(r.collapse_inherited),
-            opt(r.collapse_audited)
+            r.collapse_ratio()
         ));
         s.push_str(&format!("      \"detected_total\": {},\n", r.detected_total));
         s.push_str(&format!("      \"partial\": {},\n", r.partial));
@@ -508,17 +484,22 @@ mod tests {
         assert!(text.contains("coverage lower bound: "), "{text}");
 
         let report = std::fs::read_to_string(&json).unwrap();
-        assert!(report.contains("\"version\": 3"), "{report}");
+        assert!(report.contains("\"version\": 4"), "{report}");
         assert!(!report.contains("\"legacy\""), "{report}");
         assert!(report.contains("\"name\": \"s208\""), "{report}");
         assert!(report.contains("\"faults_per_sec\""), "{report}");
         assert!(report.contains("\"partial\": 0"), "{report}");
         assert!(report.contains("\"coverage_lower_bound\": "), "{report}");
-        // Collapse stats: static classes always; inherited/audited need the
-        // audit run, which --no-audit skipped.
+        // Collapse stats: the static classes of the full list.
         assert!(text.contains("fault collapsing"), "{text}");
-        assert!(report.contains("\"collapse\": {\"total\": 584, \"classes\": 357"), "{report}");
-        assert!(report.contains("\"inherited\": null"), "{report}");
+        assert!(
+            report.contains(
+                "\"collapse\": {\"total\": 584, \"classes\": 357, \"collapsed\": 227, \
+                 \"ratio\": 0.3887}"
+            ),
+            "{report}"
+        );
+        assert!(report.contains("\"audit_failed\": null"), "{report}");
         let pairs = parse_baseline(&report);
         assert_eq!(pairs.len(), 1);
         assert_eq!(pairs[0].0, "s208");
@@ -526,16 +507,15 @@ mod tests {
     }
 
     #[test]
-    fn audited_bench_reports_inherited_and_audited_collapse_counts() {
-        let dir = std::env::temp_dir().join("moa-cli-bench-collapse-test");
+    fn audited_bench_audits_the_full_list_clean() {
+        let dir = std::env::temp_dir().join("moa-cli-bench-audit-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let json = dir.join("collapse.json").to_string_lossy().into_owned();
+        let json = dir.join("audit.json").to_string_lossy().into_owned();
         let mut out = Vec::new();
         run(&["s208".into(), "--out".into(), json.clone()], &mut out).unwrap();
         let report = std::fs::read_to_string(&json).unwrap();
         assert!(report.contains("\"audit_failed\": 0"), "{report}");
-        assert!(!report.contains("\"inherited\": null"), "{report}");
-        assert!(!report.contains("\"audited\": null"), "{report}");
+        assert!(!report.contains("inherited"), "{report}");
         // The scanner must still pair the circuit with its screened fps.
         let pairs = parse_baseline(&report);
         assert_eq!(pairs.len(), 1, "{report}");

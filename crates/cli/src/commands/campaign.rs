@@ -23,7 +23,7 @@ const USAGE: &str = "usage: moa campaign <bench-file> [--words p,... | --random 
 [--threads T] [--deadline-ms MS] [--work-limit W] [--max-frontier N] [--degrade] \
 [--checkpoint FILE [--checkpoint-every N] [--resume]] \
 [--shards N [--shard-id K | --merge] [--shard-dir DIR] [--shard-retries R (default 5)]] \
-[--audit[=N]] [--chaos-seed S] [--collapse | --no-collapse] [--differential] \
+[--audit[=N]] [--chaos-seed S] [--no-collapse] [--differential] \
 [--no-screen] [--screen-lanes 64|128|256] [--screen-threads T] [--learn] \
 [--prune-untestable] [--verbose]";
 
@@ -44,27 +44,18 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             "screen-lanes", "screen-threads",
         ],
         &[
-            "baseline", "proposed", "both", "collapse", "no-collapse", "differential",
+            "baseline", "proposed", "both", "no-collapse", "differential",
             "no-screen", "learn", "prune-untestable", "verbose", "resume", "degrade", "merge",
         ],
     )?;
     let circuit = load_circuit(parser.required(0, "bench file")?)?;
     let seq = sequence_from_args(&parser, &circuit, 64)?;
 
-    // Three collapse regimes: the default pre-collapses the fault list up
-    // front (only representatives are ever handed to the campaign, one
-    // record each); `--no-collapse` simulates the full list; `--collapse`
-    // also takes the full list but lets the campaign itself collapse —
-    // simulating representatives, expanding class verdicts where bit-exact,
-    // and reporting one per-original-fault record with provenance.
-    let collapse = parser.switch("collapse");
-    if collapse && parser.switch("no-collapse") {
-        return Err(CliError::Usage(format!(
-            "--collapse and --no-collapse contradict each other: pick one\n\n{USAGE}"
-        )));
-    }
+    // The default pre-collapses the fault list to one representative per
+    // equivalence class, as the paper's tables count faults;
+    // `--no-collapse` simulates the full list (one record per fault).
     let full = full_fault_list(&circuit);
-    let faults = if parser.switch("no-collapse") || collapse {
+    let faults = if parser.switch("no-collapse") {
         full
     } else {
         collapse_faults(&circuit, &full).representatives().to_vec()
@@ -147,14 +138,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             a.sample_rate
         )?;
     }
-    if collapse {
-        writeln!(
-            out,
-            "collapsing in-campaign: one representative per proven class, \
-             expanded to {} per-fault record(s)",
-            faults.len()
-        )?;
-    }
 
     let run_baseline = parser.switch("baseline") || parser.switch("both") || !parser.switch("proposed");
     let run_proposed = parser.switch("proposed") || parser.switch("both") || !parser.switch("baseline");
@@ -181,7 +164,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         screen_lanes,
         screen_threads,
         prune_untestable,
-        collapse,
         budget: fault_budget,
         checkpoint,
         checkpoint_every,
@@ -457,32 +439,6 @@ fn print_summary(out: &mut dyn Write, r: &CampaignResult) -> Result<(), CliError
     }
     if r.audit_failed > 0 {
         writeln!(out, "  AUDIT FAILED        : {} (quarantined)", r.audit_failed)?;
-    }
-    // Collapse provenance. Every line carries parentheses on purpose: the
-    // verdict-comparison filters (CI smokes, the shard tests) drop
-    // parenthesised lines, and these describe the schedule, not the verdicts.
-    if let Some(c) = &r.collapse {
-        writeln!(
-            out,
-            "  collapse            : {} class(es) over {} fault(s)",
-            c.classes, c.total
-        )?;
-        writeln!(
-            out,
-            "    collapsed         : {} ({:.1}% of the fault list)",
-            c.collapsed(),
-            c.ratio() * 100.0
-        )?;
-        writeln!(
-            out,
-            "    inherited         : {} (individually simulated fallback: {})",
-            c.inherited, c.fallback
-        )?;
-        writeln!(
-            out,
-            "    certificates      : {} audited (inherited detections replayed)",
-            c.audited
-        )?;
     }
     for skip in &r.resume_skipped {
         writeln!(
@@ -1048,20 +1004,21 @@ mod tests {
     }
 
     #[test]
-    fn collapse_never_moves_the_verdict_digest() {
+    fn full_list_digest_holds_audited_and_unscreened() {
         let digest = |extra: &[&str]| -> String {
             let mut v = vec![
                 toggle_path(),
                 "--words".into(),
                 "0,0,0".into(),
                 "--proposed".into(),
+                "--no-collapse".into(),
             ];
             v.extend(extra.iter().map(std::string::ToString::to_string));
             let mut out = Vec::new();
             run(&v, &mut out).unwrap();
-            String::from_utf8(out)
-                .unwrap()
-                .lines()
+            let text = String::from_utf8(out).unwrap();
+            assert!(!text.contains("AUDIT FAILED"), "{extra:?}: {text}");
+            text.lines()
                 .find(|l| l.contains("verdict digest"))
                 .unwrap()
                 .split(':')
@@ -1070,46 +1027,20 @@ mod tests {
                 .trim()
                 .to_string()
         };
-        // `--no-collapse` and `--collapse` both run the full fault list;
-        // in-campaign collapsing must land on the same per-fault digest.
-        let base = digest(&["--no-collapse"]);
-        for extra in [&["--collapse"][..], &["--collapse", "--audit"]] {
+        // The full list has classes with several members, which share one
+        // screen lane; the audit replays each member's own certificate and
+        // `--no-screen` decides every member from its own scalar trace.
+        let base = digest(&[]);
+        for extra in [&["--audit"][..], &["--no-screen"]] {
             assert_eq!(base, digest(extra), "{extra:?} moved the digest");
         }
     }
 
     #[test]
-    fn collapse_summary_reports_classes_and_clean_audit() {
-        let mut out = Vec::new();
-        run(
-            &[
-                toggle_path(),
-                "--words".into(),
-                "0,0,0".into(),
-                "--proposed".into(),
-                "--collapse".into(),
-                "--audit".into(),
-            ],
-            &mut out,
-        )
-        .unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("collapsing in-campaign"), "{text}");
-        assert!(text.contains("  collapse            : "), "{text}");
-        assert!(text.contains("% of the fault list"), "{text}");
-        assert!(text.contains("certificates      : "), "{text}");
-        assert!(!text.contains("AUDIT FAILED"), "{text}");
-        for line in text.lines().filter(|l| {
-            l.contains("collapse ") || l.contains("collapsed") || l.contains("certificates")
-        }) {
-            assert!(line.contains('('), "collapse lines must carry parens: {line}");
-        }
-    }
-
-    #[test]
-    fn collapse_flag_conflicts_and_retired_flags_are_usage_errors() {
+    fn retired_flags_are_usage_errors() {
         for extra in [
-            &["--collapse", "--no-collapse"][..],
+            &["--collapse"][..],
+            &["--collapse", "--no-collapse"],
             &["--order", "natural"],
             &["--degrade-adaptive"],
         ] {
@@ -1122,48 +1053,25 @@ mod tests {
     }
 
     #[test]
-    fn collapsed_sharded_campaign_merges_to_the_full_list_verdicts() {
-        let dir = shard_dir("collapse");
-        let mut plain = Vec::new();
-        run(
-            &[
+    fn sharded_full_list_campaign_merges_to_the_unsharded_verdicts() {
+        let dir = shard_dir("full-list");
+        let full_list = |extra: &[&str]| -> Vec<u8> {
+            let mut v = vec![
                 toggle_path(),
                 "--words".into(),
                 "0,0,0".into(),
                 "--proposed".into(),
                 "--no-collapse".into(),
-            ],
-            &mut plain,
-        )
-        .unwrap();
-        let mut sharded = Vec::new();
-        run(
-            &[
-                toggle_path(),
-                "--words".into(),
-                "0,0,0".into(),
-                "--proposed".into(),
-                "--collapse".into(),
-                "--shards".into(),
-                "3".into(),
-                "--shard-dir".into(),
-                dir.to_string_lossy().into_owned(),
-            ],
-            &mut sharded,
-        )
-        .unwrap();
-        // The collapsed+sharded merge must reproduce the full-list verdicts
-        // (the announce lines differ; compare from the first summary on).
-        let digest = |bytes: &[u8]| {
-            String::from_utf8(bytes.to_vec())
-                .unwrap()
-                .lines()
-                .find(|l| l.contains("verdict digest"))
-                .unwrap()
-                .trim()
-                .to_string()
+            ];
+            v.extend(extra.iter().map(std::string::ToString::to_string));
+            let mut out = Vec::new();
+            run(&v, &mut out).unwrap();
+            out
         };
-        assert_eq!(digest(&plain), digest(&sharded));
+        let plain = full_list(&[]);
+        // Each shard screens one lane per class of its own slice.
+        let sharded = full_list(&["--shards", "3", "--shard-dir", &dir.to_string_lossy()]);
+        assert_eq!(verdict_lines(&plain), verdict_lines(&sharded));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -12,14 +12,14 @@ use crate::commands::{screen_lanes_from_args, screen_threads_from_args};
 use crate::{ArgParser, CliError};
 
 const USAGE: &str = "usage: moa suite [NAME...] [--baseline-too] [--audit] [--degrade] \
-[--collapse] [--work-limit W] [--screen-lanes 64|128|256] [--screen-threads T]";
+[--work-limit W] [--screen-lanes 64|128|256] [--screen-threads T]";
 
 pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let parser = ArgParser::parse(
         args,
         USAGE,
         &["work-limit", "screen-lanes", "screen-threads"],
-        &["baseline-too", "audit", "degrade", "collapse"],
+        &["baseline-too", "audit", "degrade"],
     )?;
     let filter = parser.positional();
     let entries: Vec<_> = suite()
@@ -34,7 +34,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 
     let audit = parser.switch("audit");
     let degrade = parser.switch("degrade");
-    let collapse = parser.switch("collapse");
     let screen_lanes = screen_lanes_from_args(&parser)?;
     let screen_threads = screen_threads_from_args(&parser)?;
     let work_limit = parser
@@ -54,15 +53,11 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     for e in entries {
         let circuit = e.build();
         let seq = random_sequence(&circuit, e.sequence_length, e.spec.seed);
-        // `--collapse` hands the campaign the full list and lets it collapse
-        // in-flight (one record per original fault); the default pre-collapses
-        // to representatives as the paper's tables do.
-        let full = full_fault_list(&circuit);
-        let faults = if collapse {
-            full
-        } else {
-            collapse_faults(&circuit, &full).representatives().to_vec()
-        };
+        // One representative per equivalence class, as the paper's tables
+        // count faults.
+        let faults = collapse_faults(&circuit, &full_fault_list(&circuit))
+            .representatives()
+            .to_vec();
         let start = Instant::now();
         let mut budget = FaultBudget::none();
         if let Some(limit) = work_limit {
@@ -74,7 +69,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             audit: audit.then(CampaignAudit::default),
             screen_lanes,
             screen_threads,
-            collapse,
             ..CampaignOptions::new()
         };
         let proposed = run_campaign(&circuit, &seq, &faults, &options);
@@ -96,14 +90,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             let partial = proposed.partial_summary();
             line.push_str(&format!("  partial: {}", partial.partial));
             any_partial += partial.partial;
-        }
-        if let Some(report) = &proposed.collapse {
-            line.push_str(&format!(
-                "  collapse: {}/{} ({:.0}%)",
-                report.collapsed(),
-                report.total,
-                report.ratio() * 100.0
-            ));
         }
         proven_detected += proposed.detected_total();
         total_faults += proposed.total_faults;
@@ -213,15 +199,10 @@ mod tests {
     }
 
     #[test]
-    fn collapsed_entry_reports_the_ratio_and_audits_clean() {
+    fn retired_collapse_flag_is_usage_error() {
         let mut out = Vec::new();
-        run(&["s208".into(), "--collapse".into(), "--audit".into()], &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("collapse: "), "{text}");
-        assert!(text.contains("audit-failed: 0"), "{text}");
-        // The full fault list is in play under --collapse, not the
-        // pre-collapsed representatives.
-        assert!(text.contains(" 584 "), "full s208 fault list: {text}");
+        let err = run(&["s208".into(), "--collapse".into()], &mut out).unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{err}");
     }
 
     #[test]

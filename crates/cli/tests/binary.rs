@@ -476,3 +476,24 @@ fn zero_depth_zero_n_states_and_the_retired_packed_flag_exit_two() {
         assert!(err.contains(message), "{command} {extra:?}: {err}");
     }
 }
+
+#[test]
+fn in_campaign_collapse_flag_is_gone_and_the_fault_list_flags_stay() {
+    for args in [
+        vec!["campaign".to_owned(), s27_path(), "--random".into(), "8".into(), "--collapse".into()],
+        vec!["suite".into(), "s208".into(), "--collapse".into()],
+    ] {
+        let out = moa().args(&args).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains("unknown flag `--collapse`"), "{args:?}: {err}");
+    }
+    for args in [
+        vec!["faults".to_owned(), s27_path(), "--collapse".into()],
+        vec!["campaign".into(), s27_path(), "--random".into(), "8".into(), "--no-collapse".into()],
+    ] {
+        let out = moa().args(&args).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {err}");
+    }
+}

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use moa_netlist::{Circuit, Fault};
+use moa_netlist::{collapse_faults, Circuit, Fault};
 use moa_sim::{screen_faults_wide, simulate, GoodFrames, ScreenLanes, SimTrace, TestSequence};
 
 use crate::audit::{audit_certificate, AuditOptions, AuditStatus};
@@ -72,46 +72,6 @@ impl Default for CampaignAudit {
     }
 }
 
-/// Statistics and provenance of a collapsed campaign
-/// ([`CampaignOptions::collapse`]), reported on
-/// [`CampaignResult::collapse`].
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct CollapseReport {
-    /// Faults in the campaign's list.
-    pub total: usize,
-    /// Equivalence classes found over the list.
-    pub classes: usize,
-    /// Member verdicts expanded from their class representative with zero
-    /// simulation work.
-    pub inherited: usize,
-    /// Members whose representative verdict was not inheritable (the status
-    /// carries member-specific payload) and were simulated individually.
-    pub fallback: usize,
-    /// Inherited detections re-validated by replaying the representative's
-    /// detection certificate against the member fault (only under
-    /// [`CampaignOptions::audit`], at its sample rate).
-    pub audited: usize,
-    /// Per-fault provenance: `representative[i]` is the fault-list index
-    /// whose verdict fault `i` inherited (or could have); `i` itself for
-    /// representatives and unclassified faults.
-    pub representative: Vec<usize>,
-}
-
-impl CollapseReport {
-    /// Faults removed from the simulation frontier: `total - classes`.
-    pub fn collapsed(&self) -> usize {
-        self.total - self.classes
-    }
-
-    /// Fraction of the list collapsed away; `0.0` for an empty list.
-    pub fn ratio(&self) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        self.collapsed() as f64 / self.total as f64
-    }
-}
-
 /// Options for [`run_campaign`].
 #[derive(Clone)]
 pub struct CampaignOptions {
@@ -131,7 +91,9 @@ pub struct CampaignOptions {
     /// [`MoaOptions::check_condition_c`], undetected faults failing the
     /// necessary condition (C) are dropped in batches. Only the (C)-passers
     /// get a per-fault faulty trace and enter the expansion machinery.
-    /// Verdicts are bit-identical to the scalar conventional stage and (C)
+    /// Structurally equivalent faults share one lane (their faulty traces
+    /// are identical), so a full fault list costs no more screen passes
+    /// than its class representatives. Verdicts are bit-identical to the scalar conventional stage and (C)
     /// check (each slot's verdict is independent of its batch mates), so
     /// results are unchanged — including across checkpoint/resume, which
     /// screens only the still-unresolved faults. On by default.
@@ -156,15 +118,6 @@ pub struct CampaignOptions {
     /// pruning never changes the verdict of a testable fault. Off by default
     /// so plain campaigns report the paper's raw statuses.
     pub prune_untestable: bool,
-    /// Simulate one representative per proven equivalence class and expand
-    /// its verdict to the other members. Inheritance is restricted to the
-    /// two status variants that are provably member-invariant (conventional
-    /// detections and condition-C skips — equivalent faults have identical
-    /// faulty traces); every other member falls back to individual
-    /// simulation, so per-fault statuses are **bit-identical** to the
-    /// uncollapsed run. Provenance and statistics land in
-    /// [`CampaignResult::collapse`]. Off by default.
-    pub collapse: bool,
     /// Per-fault resource budget (wall-clock deadline and/or work-unit
     /// ceiling). A fault exceeding it is abandoned with
     /// [`FaultStatus::BudgetExceeded`] — the campaign keeps going.
@@ -216,7 +169,6 @@ impl std::fmt::Debug for CampaignOptions {
             .field("screen_lanes", &self.screen_lanes)
             .field("screen_threads", &self.screen_threads)
             .field("prune_untestable", &self.prune_untestable)
-            .field("collapse", &self.collapse)
             .field("budget", &self.budget)
             .field("isolate_panics", &self.isolate_panics)
             .field("checkpoint", &self.checkpoint)
@@ -243,7 +195,6 @@ impl Default for CampaignOptions {
             screen_lanes: ScreenLanes::L64,
             screen_threads: 1,
             prune_untestable: false,
-            collapse: false,
             budget: FaultBudget::none(),
             isolate_panics: true,
             checkpoint: None,
@@ -331,20 +282,12 @@ pub struct CampaignResult {
     /// [`CampaignOptions::resume`]. Excluded from equality alongside
     /// [`perf`](Self::perf): skips describe the journey, not the verdicts.
     pub resume_skipped: Vec<CheckpointSkip>,
-    /// Collapse statistics and per-fault provenance; `Some` only for a run
-    /// with [`CampaignOptions::collapse`]. Excluded from equality alongside
-    /// [`perf`](Self::perf): collapsing is an execution strategy, and a
-    /// collapsed run's *verdicts* must compare equal to the uncollapsed
-    /// run's.
-    pub collapse: Option<CollapseReport>,
 }
 
 /// Equality by verdicts: every field except the wall-clock-dependent
-/// [`perf`](CampaignResult::perf) instrumentation, the
+/// [`perf`](CampaignResult::perf) instrumentation and the
 /// [`resume_skipped`](CampaignResult::resume_skipped) warnings (a resumed
-/// run that healed a corrupt record still computes identical verdicts), and
-/// the [`collapse`](CampaignResult::collapse) sidecar (a collapsed run must
-/// compare equal to the uncollapsed run it is bit-identical to).
+/// run that healed a corrupt record still computes identical verdicts).
 impl PartialEq for CampaignResult {
     fn eq(&self, other: &Self) -> bool {
         self.circuit == other.circuit
@@ -536,7 +479,7 @@ pub fn try_run_campaign(
         };
 
     let mut perf = PerfCounters::new();
-    let collapse = run_all(
+    run_all(
         circuit,
         seq,
         &good,
@@ -559,7 +502,6 @@ pub fn try_run_campaign(
     let mut result = aggregate(circuit, faults.len(), results);
     result.perf = perf;
     result.resume_skipped = resume_skipped;
-    result.collapse = collapse;
     Ok(result)
 }
 
@@ -586,7 +528,6 @@ pub(crate) fn aggregate(
         expansion_counters: Vec::new(),
         perf: PerfCounters::new(),
         resume_skipped: Vec::new(),
-        collapse: None,
     };
     for r in results {
         match &r.status {
@@ -624,9 +565,9 @@ pub(crate) fn aggregate(
     campaign
 }
 
-/// Simulates every fault whose slot is still `None`, in batches, writing a
-/// checkpoint after each batch when configured. Returns the collapse report
-/// when [`CampaignOptions::collapse`] ran.
+/// Simulates every fault whose slot is still `None`: screens the pending
+/// faults, simulates them in checkpoint-sized batches, flushes after every
+/// batch and observes cancellation at batch boundaries.
 #[allow(clippy::too_many_arguments)]
 fn run_all(
     circuit: &Circuit,
@@ -638,7 +579,7 @@ fn run_all(
     header: &CheckpointHeader,
     slots: &mut [Option<FaultResult>],
     perf: &mut PerfCounters,
-) -> Result<Option<CollapseReport>, Error> {
+) -> Result<(), Error> {
     // Implication regions and fan-out cones are a property of the circuit
     // alone: build them once and share across faults and worker threads.
     let cones = ConeCache::new(circuit);
@@ -665,133 +606,18 @@ fn run_all(
         .enumerate()
         .filter_map(|(i, slot)| slot.is_none().then_some(i))
         .collect();
-
-    if !options.collapse {
-        run_stage(
-            circuit, seq, good, faults, options, frames, header, &cones, &pending, slots,
-            perf,
-        )?;
-        // With nothing pending (a fully-resumed or fully-pruned campaign, or
-        // an empty shard) the stage never flushed; a shard must still publish
-        // its file so the merge sees every member of the partition.
-        if pending.is_empty() {
-            flush(options, header, slots)?;
-        }
-        return Ok(None);
+    // With nothing pending (a fully-resumed or fully-pruned campaign, or an
+    // empty shard) no batch flushes; a shard must still publish its file so
+    // the merge sees every member of the partition.
+    if pending.is_empty() {
+        return flush(options, header, slots);
     }
 
-    // Collapsed campaign: stage one simulates one representative per proven
-    // equivalence class; stage two expands each class verdict to the other
-    // members where that is bit-exact, and simulates the rest individually.
-    let analysis = moa_analyze::CollapseAnalysis::of(circuit, faults);
-    let rep_of = analysis.representative_map();
-    let mut report = CollapseReport {
-        total: faults.len(),
-        classes: analysis.classes().len(),
-        inherited: 0,
-        fallback: 0,
-        audited: 0,
-        representative: rep_of.to_vec(),
-    };
-    let reps: Vec<usize> = pending
-        .iter()
-        .copied()
-        .filter(|&i| rep_of[i] == i)
-        .collect();
-    run_stage(
-        circuit, seq, good, faults, options, frames, header, &cones, &reps, slots, perf,
-    )?;
-
-    // Expansion: a member inherits its representative's status only when the
-    // status is provably member-invariant. Equivalent faults have identical
-    // faulty traces on every net at every time unit, so the conventional
-    // detection (earliest output mismatch) and the condition-C profile
-    // (derived from the trace alone) are the same for every member. Every
-    // other variant carries member-specific payload (fault-site pair keys,
-    // expansion sequences, budget work, panic messages) and must be
-    // simulated individually to stay bit-identical to the uncollapsed run.
-    let mut fallback = Vec::new();
-    for &i in pending.iter().filter(|&&i| rep_of[i] != i) {
-        let inherited = slots[rep_of[i]].as_ref().and_then(|r| match &r.status {
-            st @ (FaultStatus::DetectedConventional(_) | FaultStatus::SkippedConditionC) => {
-                Some(st.clone())
-            }
-            _ => None,
-        });
-        let Some(status) = inherited else {
-            fallback.push(i);
-            continue;
-        };
-        let mut result = FaultResult {
-            status,
-            counters: Counters::new(),
-            runs: 0,
-        };
-        // Inherited detections face the same deterministic audit sampling as
-        // simulated ones: the representative's conventional certificate is
-        // replayed against the *member* fault through the concrete audit
-        // gate, so a wrong collapse is quarantined, never trusted.
-        if let Some(audit) = options
-            .audit
-            .as_ref()
-            .filter(|a| i.is_multiple_of(a.sample_rate.max(1)))
-        {
-            if let FaultStatus::DetectedConventional(det) = &result.status {
-                let cert = DetectionCertificate::conventional(det, good);
-                apply_audit(circuit, seq, good, &faults[i], &mut result, Some(&cert), audit);
-                report.audited += 1;
-            }
-        }
-        slots[i] = Some(result);
-        report.inherited += 1;
-    }
-    report.fallback = fallback.len();
-    // The inherited fills are not covered by either stage's flushes: write
-    // them out before stage two so a kill during the fallback runs resumes
-    // with the expansion intact (and so an all-inherited shard still
-    // publishes its file).
-    flush(options, header, slots)?;
-    run_stage(
-        circuit, seq, good, faults, options, frames, header, &cones, &fallback, slots, perf,
-    )?;
-    Ok(Some(report))
-}
-
-/// Publishes the campaign's completed slots to its checkpoint file, if it
-/// has one.
-fn flush(
-    options: &CampaignOptions,
-    header: &CheckpointHeader,
-    slots: &[Option<FaultResult>],
-) -> Result<(), Error> {
-    match &options.checkpoint {
-        Some(path) => write_checkpoint_v2(path, header, options.shard.as_ref(), slots),
-        None => Ok(()),
-    }
-}
-
-/// Runs one stage of a campaign: screens `pending`, simulates it in
-/// checkpoint-sized batches, flushes after every batch and observes
-/// cancellation at batch boundaries.
-#[allow(clippy::too_many_arguments)]
-fn run_stage(
-    circuit: &Circuit,
-    seq: &TestSequence,
-    good: &SimTrace,
-    faults: &[Fault],
-    options: &CampaignOptions,
-    frames: Option<&GoodFrames>,
-    header: &CheckpointHeader,
-    cones: &ConeCache<'_>,
-    pending: &[usize],
-    slots: &mut [Option<FaultResult>],
-    perf: &mut PerfCounters,
-) -> Result<(), Error> {
-    let screened = screen_pending(circuit, seq, good, faults, options, pending, perf);
+    let screened = screen_pending(circuit, seq, good, faults, options, &pending, perf);
     let batch_size = if options.checkpoint.is_some() {
         options.checkpoint_every.max(1)
     } else {
-        pending.len().max(1)
+        pending.len()
     };
     let cancelled = || options.cancel.as_ref().is_some_and(|probe| probe());
     for batch in pending.chunks(batch_size) {
@@ -813,7 +639,7 @@ fn run_stage(
             options,
             frames,
             &screened,
-            cones,
+            &cones,
             batch,
             slots,
             perf,
@@ -823,17 +649,34 @@ fn run_stage(
     Ok(())
 }
 
+/// Publishes the campaign's completed slots to its checkpoint file, if it
+/// has one.
+fn flush(
+    options: &CampaignOptions,
+    header: &CheckpointHeader,
+    slots: &[Option<FaultResult>],
+) -> Result<(), Error> {
+    match &options.checkpoint {
+        Some(path) => write_checkpoint_v2(path, header, options.shard.as_ref(), slots),
+        None => Ok(()),
+    }
+}
+
 /// Conventionally screens the still-unresolved faults a word at a time with
 /// the parallel-fault packed kernel, at the configured lane width and thread
 /// count. Returns, indexed by fault-list position, the verdict the screen
 /// settled: the earliest conventional detection, or — when
 /// [`MoaOptions::check_condition_c`] is set — a condition-(C) skip for an
 /// undetected fault failing (C); `None` for a fault that needs the per-fault
-/// procedure, and everywhere when screening is disabled. Each slot's
-/// verdict depends only on its own fault, so the result is independent of
-/// batch composition, lane width, and thread count — a resumed campaign
-/// screening a different subset (or with different knobs) reaches identical
-/// per-fault conclusions.
+/// procedure, and everywhere when screening is disabled.
+///
+/// One lane screens each structural equivalence class of `pending`
+/// ([`collapse_faults`]): equivalent faults have identical faulty traces, so
+/// every member gets its class representative's detection and (C) bit. Each
+/// slot's verdict therefore still depends only on its own fault, and the
+/// result is independent of batch composition, lane width, and thread count
+/// — a resumed campaign screening a different subset (or with different
+/// knobs) reaches identical per-fault conclusions.
 fn screen_pending(
     circuit: &Circuit,
     seq: &TestSequence,
@@ -849,17 +692,27 @@ fn screen_pending(
     }
     let started = Instant::now();
     let batch: Vec<Fault> = pending.iter().map(|&i| faults[i]).collect();
+    let classes = collapse_faults(circuit, &batch);
     let threads = if options.screen_threads == 0 {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     } else {
         options.screen_threads
     };
-    let outcome = screen_faults_wide(circuit, seq, good, &batch, options.screen_lanes, threads);
-    let verdicts = outcome.detections.into_iter().zip(outcome.condition_c);
-    for (&index, (det, condition_c)) in pending.iter().zip(verdicts) {
-        screened[index] = match det {
+    let outcome = screen_faults_wide(
+        circuit,
+        seq,
+        good,
+        classes.representatives(),
+        options.screen_lanes,
+        threads,
+    );
+    for (&index, &fault) in pending.iter().zip(&batch) {
+        let lane = classes
+            .class_index(fault)
+            .expect("collapse_faults classes every fault of its list");
+        screened[index] = match outcome.detections[lane] {
             Some(det) => Some(FaultStatus::DetectedConventional(det)),
-            None if options.moa.check_condition_c && !condition_c => {
+            None if options.moa.check_condition_c && !outcome.condition_c[lane] => {
                 Some(FaultStatus::SkippedConditionC)
             }
             None => None,
@@ -1795,190 +1648,12 @@ mod tests {
     }
 
     #[test]
-    fn collapsed_campaign_matches_plain_run_bit_identically() {
-        let (c, seq) = toggle();
-        let faults = full_fault_list(&c);
-        let plain = run_campaign(&c, &seq, &faults, &CampaignOptions::new());
-        let collapsed = run_campaign(
-            &c,
-            &seq,
-            &faults,
-            &CampaignOptions {
-                collapse: true,
-                ..Default::default()
-            },
-        );
-        assert_eq!(plain, collapsed, "collapse must not change any verdict");
-        assert_eq!(
-            crate::canon::verdict_digest(&plain),
-            crate::canon::verdict_digest(&collapsed),
-        );
-        assert!(plain.collapse.is_none(), "plain runs carry no report");
-        let report = collapsed.collapse.as_ref().expect("collapse report");
-        assert_eq!(report.total, faults.len());
-        assert!(report.classes < report.total, "{report:?}");
-        assert_eq!(report.collapsed(), report.total - report.classes);
-        assert_eq!(
-            report.inherited + report.fallback,
-            report.collapsed(),
-            "every non-representative either inherits or falls back: {report:?}"
-        );
-        assert!(report.inherited >= 1, "{report:?}");
-        assert_eq!(report.representative.len(), faults.len());
-        for (i, &rep) in report.representative.iter().enumerate() {
-            assert!(rep <= i, "representatives are lowest-index members");
-            assert_eq!(report.representative[rep], rep, "rep is its own rep");
-        }
-        // The provenance sidecar never participates in result equality.
-        let mut stripped = collapsed.clone();
-        stripped.collapse = None;
-        assert_eq!(collapsed, stripped);
-    }
-
-    #[test]
-    fn collapsed_campaign_agrees_across_thread_counts() {
-        let (c, seq) = toggle();
-        let faults = full_fault_list(&c);
-        let serial = run_campaign(
-            &c,
-            &seq,
-            &faults,
-            &CampaignOptions {
-                collapse: true,
-                threads: 1,
-                ..Default::default()
-            },
-        );
-        let parallel = run_campaign(
-            &c,
-            &seq,
-            &faults,
-            &CampaignOptions {
-                collapse: true,
-                threads: 4,
-                ..Default::default()
-            },
-        );
-        assert_eq!(serial, parallel);
-        assert_eq!(serial.collapse, parallel.collapse, "the report is schedule-free");
-    }
-
-    #[test]
-    fn collapsed_audited_campaign_replays_member_certificates() {
-        let (c, seq) = toggle();
-        let faults = full_fault_list(&c);
-        let plain = run_campaign(&c, &seq, &faults, &CampaignOptions::new());
-        let audited = run_campaign(
-            &c,
-            &seq,
-            &faults,
-            &CampaignOptions {
-                collapse: true,
-                audit: Some(CampaignAudit::default()),
-                ..Default::default()
-            },
-        );
-        assert_eq!(audited.audit_failed, 0, "inherited detections audit clean");
-        assert_eq!(plain, audited, "a clean audit must not change any result");
-        let report = audited.collapse.as_ref().expect("collapse report");
-        assert!(
-            report.audited > 0,
-            "inherited conventional detections must be replayed: {report:?}"
-        );
-    }
-
-    #[test]
-    fn collapsed_checkpointed_run_resumes_identically() {
-        let (c, seq) = toggle();
-        let faults = full_fault_list(&c);
-        let dir = std::env::temp_dir().join("moa-campaign-collapse-checkpoint-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("collapsed.checkpoint");
-        let _ = std::fs::remove_file(&path);
-
-        let plain = run_campaign(&c, &seq, &faults, &CampaignOptions::new());
-        let options = CampaignOptions {
-            collapse: true,
-            checkpoint: Some(path.clone()),
-            checkpoint_every: 2,
-            ..Default::default()
-        };
-        let first = run_campaign(&c, &seq, &faults, &options);
-        assert_eq!(plain, first, "checkpointed collapse stays bit-identical");
-
-        // The finished checkpoint is complete: a resume re-simulates nothing
-        // and still rebuilds the (static) collapse report.
-        let resumed = run_campaign(
-            &c,
-            &seq,
-            &faults,
-            &CampaignOptions {
-                resume: true,
-                fault_hook: Some(Arc::new(|index, _fault: &Fault| {
-                    panic!("fault {index} re-simulated after a complete checkpoint");
-                })),
-                isolate_panics: false,
-                ..options
-            },
-        );
-        assert_eq!(plain, resumed);
-        let report = resumed.collapse.as_ref().expect("report survives resume");
-        assert_eq!(report.total, faults.len());
-    }
-
-    #[test]
-    fn cancelled_collapsed_campaign_resumes_to_identical_result() {
-        let (c, seq) = toggle();
-        let faults = full_fault_list(&c);
-        let dir = std::env::temp_dir().join("moa-campaign-collapse-cancel-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("collapsed-cancel.checkpoint");
-        let _ = std::fs::remove_file(&path);
-
-        let plain = run_campaign(&c, &seq, &faults, &CampaignOptions::new());
-        let polls = Arc::new(AtomicUsize::new(0));
-        let probe_polls = Arc::clone(&polls);
-        let err = try_run_campaign(
-            &c,
-            &seq,
-            &faults,
-            &CampaignOptions {
-                collapse: true,
-                checkpoint: Some(path.clone()),
-                checkpoint_every: 2,
-                threads: 1,
-                cancel: Some(Arc::new(move || {
-                    probe_polls.fetch_add(1, Ordering::SeqCst) >= 1
-                })),
-                ..Default::default()
-            },
-        )
-        .unwrap_err();
-        assert!(matches!(err, Error::Interrupted { .. }), "{err}");
-
-        // The resume inherits from *restored* representative slots where the
-        // first attempt got far enough, and re-simulates the rest.
-        let resumed = run_campaign(
-            &c,
-            &seq,
-            &faults,
-            &CampaignOptions {
-                collapse: true,
-                checkpoint: Some(path.clone()),
-                resume: true,
-                ..Default::default()
-            },
-        );
-        assert_eq!(plain, resumed, "interrupted collapse resumes bit-identically");
-    }
-
-    #[test]
     fn fully_untestable_fault_list_finishes_with_zero_gate_evals() {
         // Both proof kinds in one netlist: `w` is a dead cone (unobservable)
         // and `x` is statically constant 0 but observable through `z`. A
         // fault list holding only proven faults must finish without a single
         // gate evaluation — no screening, no good-trace frames, no per-fault
-        // simulation — under both the plain and the collapsed campaign.
+        // simulation.
         let mut b = CircuitBuilder::new("allproven");
         b.add_input("a").unwrap();
         b.add_input("r").unwrap();
@@ -1996,41 +1671,35 @@ mod tests {
             Fault::stem(w, true),
             Fault::stem(x, false),
         ];
-        for collapse in [false, true] {
-            let result = run_campaign(
-                &c,
-                &seq,
-                &faults,
-                &CampaignOptions {
-                    prune_untestable: true,
-                    collapse,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(result.untestable, faults.len(), "collapse={collapse}");
-            assert_eq!(result.detected_total(), 0, "collapse={collapse}");
-            assert_eq!(
-                result.perf.gate_evals, 0,
-                "collapse={collapse}: {:?}",
-                result.perf
-            );
-            let tags: Vec<String> = result
-                .statuses
-                .iter()
-                .map(|s| match s {
-                    FaultStatus::Untestable { proof } => proof.tag(),
-                    other => panic!("expected Untestable, got {other:?}"),
-                })
-                .collect();
-            assert_eq!(tags, ["unobservable", "unobservable", "constant-0"]);
-        }
+        let result = run_campaign(
+            &c,
+            &seq,
+            &faults,
+            &CampaignOptions {
+                prune_untestable: true,
+                ..Default::default()
+            },
+        );
+        assert_eq!(result.untestable, faults.len());
+        assert_eq!(result.detected_total(), 0);
+        assert_eq!(result.perf.gate_evals, 0, "{:?}", result.perf);
+        let tags: Vec<String> = result
+            .statuses
+            .iter()
+            .map(|s| match s {
+                FaultStatus::Untestable { proof } => proof.tag(),
+                other => panic!("expected Untestable, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(tags, ["unobservable", "unobservable", "constant-0"]);
     }
 
     #[test]
-    fn collapsed_pruned_campaign_never_inherits_untestable_proofs() {
+    fn screened_pruned_full_list_campaign_matches_unscreened() {
         // Untestable proofs carry member-specific payload (the constant
-        // value, the proof tag); pruning runs per-fault before collapse and
-        // the expansion stage must leave pruned slots alone.
+        // value, the proof tag) and are decided per fault before the screen,
+        // so a class whose members were pruned apart must not leak a shared
+        // screen verdict onto a pruned slot.
         let mut b = CircuitBuilder::new("deadend");
         b.add_input("a").unwrap();
         b.add_input("b").unwrap();
@@ -2041,26 +1710,57 @@ mod tests {
         let c = b.finish().unwrap();
         let seq = TestSequence::from_words(&["00", "11", "10"]).unwrap();
         let faults = full_fault_list(&c);
-        let plain = run_campaign(
-            &c,
-            &seq,
-            &faults,
-            &CampaignOptions {
-                prune_untestable: true,
-                ..Default::default()
-            },
-        );
-        let collapsed = run_campaign(
-            &c,
-            &seq,
-            &faults,
-            &CampaignOptions {
-                prune_untestable: true,
-                collapse: true,
-                ..Default::default()
-            },
-        );
-        assert_eq!(plain, collapsed);
-        assert!(plain.untestable > 0, "the dead cone must be pruned");
+        let pruned = |screen: bool| {
+            run_campaign(
+                &c,
+                &seq,
+                &faults,
+                &CampaignOptions {
+                    prune_untestable: true,
+                    screen,
+                    ..Default::default()
+                },
+            )
+        };
+        let screened = pruned(true);
+        assert_eq!(screened, pruned(false));
+        assert!(screened.untestable > 0, "the dead cone must be pruned");
+        assert!(screened.conventional > 0, "the screen decided some faults");
+    }
+
+    /// The screen spends one lane per structural equivalence class of the
+    /// pending list: its gate evaluations equal those of screening the
+    /// class representatives alone, and every member gets exactly the
+    /// verdict an unshared screen of the whole list gives it.
+    #[test]
+    fn screen_shares_one_lane_per_equivalence_class() {
+        let e = moa_circuits::suite::entry("s208").unwrap();
+        let c = e.build();
+        let seq = moa_tpg::random_sequence(&c, 16, 7);
+        let good = simulate(&c, &seq, None);
+        let faults = full_fault_list(&c);
+        let reps = collapse_faults(&c, &faults).representatives().to_vec();
+        assert!(reps.len() + 64 <= faults.len(), "the classes save whole words");
+
+        let options = CampaignOptions::new();
+        let all: Vec<usize> = (0..faults.len()).collect();
+        let mut shared = PerfCounters::new();
+        let screened = screen_pending(&c, &seq, &good, &faults, &options, &all, &mut shared);
+        let reps_only = screen_faults_wide(&c, &seq, &good, &reps, ScreenLanes::L64, 1);
+        assert_eq!(shared.gate_evals, reps_only.gate_evaluations);
+
+        let unshared = screen_faults_wide(&c, &seq, &good, &faults, ScreenLanes::L64, 1);
+        assert!(unshared.gate_evaluations > shared.gate_evals);
+        let mut skips = 0;
+        for (i, verdict) in screened.iter().enumerate() {
+            let expected = match unshared.detections[i] {
+                Some(det) => Some(FaultStatus::DetectedConventional(det)),
+                None if !unshared.condition_c[i] => Some(FaultStatus::SkippedConditionC),
+                None => None,
+            };
+            skips += usize::from(matches!(verdict, Some(FaultStatus::SkippedConditionC)));
+            assert_eq!(*verdict, expected, "fault {i}: {}", faults[i]);
+        }
+        assert!(skips > 0, "the shared (C) bits were exercised");
     }
 }

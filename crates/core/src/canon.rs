@@ -363,10 +363,6 @@ mod tests {
         neutral.screen = false;
         neutral.screen_lanes = crate::ScreenLanes::L256;
         neutral.screen_threads = 4;
-        // Collapse changes the schedule, never the verdicts: it stays out of
-        // the request hash so a collapsed campaign can reuse (and be deduped
-        // against) the plain one.
-        neutral.collapse = true;
         assert_eq!(base, request_hash(&c, &seq(), &faults, &neutral));
 
         let mut semantic = CampaignOptions::new();

@@ -147,7 +147,7 @@ pub use audit::{audit_certificate, AuditOptions, AuditStatus};
 pub use budget::{BudgetMeter, BudgetStage, FaultBudget};
 pub use campaign::{
     run_campaign, try_run_campaign, CampaignAudit, CampaignOptions, CampaignResult, CancelFlag,
-    CollapseReport, FaultHook, PartialSummary,
+    FaultHook, PartialSummary,
 };
 pub use moa_sim::ScreenLanes;
 pub use canon::{
@@ -190,7 +190,4 @@ pub use stateseq::StateSequence;
 // The static analyses consumed by the procedure (learned implications) and
 // the campaign (untestability pruning) live in `moa_analyze`; re-export the
 // types that appear in this crate's public API.
-pub use moa_analyze::{
-    CollapseAnalysis, CollapseCertificate, ImplicationDb, Testability, UntestableProof,
-    UntestableScreen,
-};
+pub use moa_analyze::{ImplicationDb, Testability, UntestableProof, UntestableScreen};

@@ -630,22 +630,21 @@ mod tests {
     }
 
     #[test]
-    fn collapsed_sharded_run_merges_bit_identical_to_plain_unsharded() {
+    fn audited_full_list_shards_merge_bit_identical_to_plain_unsharded() {
         let c = toggle();
         let seq = TestSequence::from_words(&["0", "0", "0"]).expect("valid sequence");
         let faults = full_fault_list(&c);
-        // Reference: no collapse, no shards. Each shard collapses its own
-        // slice of the fault list (the partial-list-safe case), so the merge
-        // must still reproduce the plain campaign bit-identically, with
-        // exactly one record per original fault.
+        // Reference: no audit, no shards. Each shard's screen shares lanes
+        // across the equivalence classes of its own slice of the full list
+        // (the partial-list-safe case), so the merge must still reproduce the
+        // plain campaign bit-identically, with one record per fault.
         let plain = run_campaign(&c, &seq, &faults, &CampaignOptions::new());
         let base = CampaignOptions {
-            collapse: true,
             audit: Some(CampaignAudit::default()),
             ..CampaignOptions::new()
         };
         for shards in [1usize, 3] {
-            let dir = temp_dir(&format!("collapse-{shards}"));
+            let dir = temp_dir(&format!("full-list-{shards}"));
             let options = ShardOptions::new(shards, &dir);
             let run = run_sharded(&c, &seq, &faults, &base, &options).expect("supervise");
             assert!(run.quarantined.is_empty(), "{:?}", run.quarantined);

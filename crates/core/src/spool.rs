@@ -155,7 +155,6 @@ impl JobSpec {
         out.push_str(&format!("opt differential {}\n", o.differential));
         out.push_str(&format!("opt screen {}\n", o.screen));
         out.push_str(&format!("opt prune_untestable {}\n", o.prune_untestable));
-        out.push_str(&format!("opt collapse {}\n", o.collapse));
         out.push_str(&format!("opt isolate_panics {}\n", o.isolate_panics));
         out.push_str(&format!("opt checkpoint_every {}\n", o.checkpoint_every));
         if let Some(deadline) = o.budget.deadline {
@@ -253,10 +252,10 @@ fn apply_option(options: &mut CampaignOptions, key: &str, value: &str) -> Result
         "check_condition_c" => m.check_condition_c = flag(key, value)?,
         "backward_time_units" => m.backward_time_units = num(key, value)?,
         "include_final_time_unit" => m.include_final_time_unit = flag(key, value)?,
-        // Retired engine switches: specs written before their removal still
-        // carry the lines. Neither entered the request hash, so both are
+        // Retired execution switches: specs written before their removal
+        // still carry the lines. None entered the request hash, so each is
         // validated and dropped.
-        "cone_bounded" | "packed_resimulation" => {
+        "cone_bounded" | "packed_resimulation" | "collapse" => {
             flag(key, value)?;
         }
         "static_learning" => m.static_learning = flag(key, value)?,
@@ -276,7 +275,6 @@ fn apply_option(options: &mut CampaignOptions, key: &str, value: &str) -> Result
         "differential" => options.differential = flag(key, value)?,
         "screen" => options.screen = flag(key, value)?,
         "prune_untestable" => options.prune_untestable = flag(key, value)?,
-        "collapse" => options.collapse = flag(key, value)?,
         // Retired fault-order schedule: it never moved a verdict or entered
         // the request hash, so a known name is validated and dropped.
         "order" => {
@@ -665,7 +663,7 @@ mod tests {
     fn spec_with_retired_engine_switches_parses_to_the_same_hash() {
         // A spec exactly as written before `cone_bounded` was retired, with
         // both execution-only engine switches flipped from their defaults.
-        // `packed_resimulation` has been retired since.
+        // `packed_resimulation` and `collapse` have been retired since.
         let text = concat!(
             "moa-job-spec v1\n",
             "bench 69\n",
@@ -700,9 +698,15 @@ mod tests {
         // The hash the writing release computed for this request.
         assert_eq!(parsed.hash().to_string(), "2dfd90ad925f196e1251f7300abb9271");
         assert_eq!(parsed.hash(), spec().hash(), "engine switches stay out of the hash");
+        let collapsed = JobSpec::parse(&text.replace("opt collapse false", "opt collapse true"))
+            .expect("a spec asking for in-campaign collapsing still parses");
+        assert_eq!(collapsed.hash(), parsed.hash(), "collapse never entered the hash");
+        let without = JobSpec::parse(&text.replace("opt collapse false\n", "")).expect("parses");
+        assert_eq!(without.hash(), parsed.hash());
         for (line, damaged) in [
             ("opt cone_bounded false", "opt cone_bounded maybe"),
             ("opt packed_resimulation true", "opt packed_resimulation maybe"),
+            ("opt collapse false", "opt collapse maybe"),
         ] {
             let key = line.split(' ').nth(1).unwrap();
             assert!(!parsed.to_text().contains(key), "{key} is not written back");
@@ -716,8 +720,8 @@ mod tests {
     #[test]
     fn spec_with_retired_worker_retries_line_parses_to_the_same_hash() {
         // The default spec exactly as written before the worker-respawn
-        // budget was retired. Its `order`, `degrade_adaptive` and
-        // `packed_resimulation` lines have been retired since.
+        // budget was retired. Its `order`, `degrade_adaptive`,
+        // `packed_resimulation` and `collapse` lines have been retired since.
         let text = concat!(
             "moa-job-spec v1\n",
             "bench 69\n",
@@ -756,7 +760,8 @@ mod tests {
             text.replace("opt worker_retries 2\n", "")
                 .replace("opt degrade_adaptive false\n", "")
                 .replace("opt order natural\n", "")
-                .replace("opt packed_resimulation false\n", ""),
+                .replace("opt packed_resimulation false\n", "")
+                .replace("opt collapse false\n", ""),
             "only the retired lines are dropped on write-back"
         );
         let with = |from: &str, to: &str| JobSpec::parse(&text.replace(from, to));

@@ -1,17 +1,18 @@
-//! Integration tests for the static fault-collapsing subsystem
-//! (`CampaignOptions::collapse`) on the embedded circuit suite.
+//! Integration tests for structural fault collapsing on the embedded circuit
+//! suite.
 //!
-//! The contract is *bit-identity in per-original-fault statuses*: a
-//! collapsed campaign simulates one representative per proven equivalence
-//! class, expands the two member-invariant verdicts (conventional detection
-//! and the condition-C skip) to the other members, and individually
-//! simulates everything else — so `CampaignResult` equality against the
-//! plain run must hold exactly, on every suite circuit, with the audit gate
-//! replaying inherited certificates against the member faults.
+//! The campaign's packed screen spends one lane per structural equivalence
+//! class of its pending list, and every member takes its representative's
+//! conventional detection and condition-(C) bit. The contract is
+//! *bit-identity in per-fault statuses*: on full fault lists, where classes
+//! have several members, the screened campaign must equal the unscreened
+//! one (which decides each member from its own scalar trace), with the
+//! audit gate replaying each member's own certificate against the member
+//! fault.
 
 use moa_circuits::suite::entry;
-use moa_core::{run_campaign, CampaignAudit, CampaignOptions, CollapseAnalysis};
-use moa_netlist::{full_fault_list, Circuit};
+use moa_core::{run_campaign, CampaignAudit, CampaignOptions};
+use moa_netlist::{collapse_faults, full_fault_list, Circuit};
 use moa_sim::TestSequence;
 use moa_tpg::random_sequence;
 
@@ -31,44 +32,45 @@ fn suite_circuits_collapse_at_least_thirty_percent_statically() {
         let e = entry(name).unwrap();
         let c = e.build();
         let faults = full_fault_list(&c);
-        let analysis = CollapseAnalysis::of(&c, &faults);
+        let classes = collapse_faults(&c, &faults).len();
+        let ratio = (faults.len() - classes) as f64 / faults.len() as f64;
         assert!(
-            analysis.ratio() >= 0.30,
+            ratio >= 0.30,
             "{name}: only {:.1}% of {} faults collapsed",
-            analysis.ratio() * 100.0,
-            analysis.total()
+            ratio * 100.0,
+            faults.len()
         );
     }
 }
 
 #[test]
-fn collapsed_suite_campaign_is_bit_identical_and_audits_clean() {
+fn shared_screen_lanes_are_bit_identical_and_audit_clean_on_full_lists() {
     for name in ["s208", "s298"] {
         let (c, seq) = fixture(name, 48);
         let faults = full_fault_list(&c);
-        let plain = run_campaign(&c, &seq, &faults, &CampaignOptions::new());
-        let collapsed = run_campaign(
+        let screened = run_campaign(
             &c,
             &seq,
             &faults,
             &CampaignOptions {
-                collapse: true,
                 audit: Some(CampaignAudit::default()),
                 ..CampaignOptions::new()
             },
         );
-        assert_eq!(
-            plain, collapsed,
-            "{name}: collapse changed a per-fault status"
+        let unscreened = run_campaign(
+            &c,
+            &seq,
+            &faults,
+            &CampaignOptions {
+                screen: false,
+                ..CampaignOptions::new()
+            },
         );
-        assert_eq!(collapsed.audit_failed, 0, "{name}: an inherited verdict was refuted");
-        let report = collapsed.collapse.as_ref().expect("collapse report");
-        assert!(report.inherited > 0, "{name}: {report:?}");
-        assert!(report.audited > 0, "{name}: {report:?}");
         assert_eq!(
-            report.inherited + report.fallback,
-            report.collapsed(),
-            "{name}: {report:?}"
+            screened, unscreened,
+            "{name}: a shared screen lane changed a per-fault status"
         );
+        assert_eq!(screened.audit_failed, 0, "{name}: a shared verdict was refuted");
+        assert!(screened.conventional > 0, "{name}: {screened:?}");
     }
 }

@@ -56,6 +56,12 @@ impl CollapsedFaults {
     pub fn representative_of(&self, fault: Fault) -> Option<Fault> {
         self.class_index.get(&fault).map(|&i| self.classes[i][0])
     }
+
+    /// The position of `fault`'s class, which is also the position of its
+    /// representative in [`representatives`](Self::representatives).
+    pub fn class_index(&self, fault: Fault) -> Option<usize> {
+        self.class_index.get(&fault).copied()
+    }
 }
 
 /// Collapses `faults` into structural equivalence classes for `circuit`.
@@ -245,6 +251,31 @@ mod tests {
             collapsed.representative_of(a0),
             collapsed.representative_of(u0)
         );
+    }
+
+    #[test]
+    fn partial_list_keeps_missing_partners_out() {
+        // Only z's two faults are listed: their equivalence partners on the
+        // AND inputs are absent, so each stays its own representative.
+        let mut b = CircuitBuilder::new("partial");
+        b.add_input("a").unwrap();
+        b.add_input("b").unwrap();
+        b.add_gate(GateKind::And, "z", &["a", "b"]).unwrap();
+        b.add_output("z");
+        let c = b.finish().unwrap();
+        let z = c.find_net("z").unwrap();
+        let partial = [Fault::stem(z, false), Fault::stem(z, true)];
+        let collapsed = collapse_faults(&c, &partial);
+        assert_eq!(collapsed.len(), 2);
+        for f in partial {
+            assert_eq!(collapsed.representative_of(f), Some(f));
+            assert_eq!(collapsed.class_of(f), Some(&[f][..]));
+            let index = collapsed.class_index(f).unwrap();
+            assert_eq!(collapsed.representatives()[index], f);
+        }
+        let a0 = Fault::stem(c.find_net("a").unwrap(), false);
+        assert_eq!(collapsed.representative_of(a0), None, "unlisted faults have no class");
+        assert_eq!(collapsed.class_index(a0), None);
     }
 
     #[test]

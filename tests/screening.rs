@@ -4,7 +4,8 @@
 //! report *exactly* the conventional detection (same time unit, same output)
 //! that a scalar faulty-machine simulation reports, and a campaign with
 //! screening enabled must be indistinguishable — status by status — from one
-//! without it. These tests pin both properties across the full embedded
+//! without it, also on full fault lists, where equivalent faults share one
+//! screen lane. These tests pin both properties across the full embedded
 //! suite, across random circuits, and across checkpoint/resume.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -36,9 +37,11 @@ fn scalar_condition_c(good: &SimTrace, faulty: &SimTrace) -> bool {
 /// embedded suite circuit, the 64-way packed screen reports bit-identically
 /// the detection (or absence) of the scalar conventional simulation, and for
 /// every fault it leaves undetected, the condition-(C) verdict of the scalar
-/// faulty trace.
+/// faulty trace. The scalar reference runs are independent per fault, so
+/// each circuit's comparison is split across the machine's cores.
 #[test]
 fn screen_matches_scalar_conventional_on_every_suite_fault() {
+    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     for e in suite() {
         let circuit = e.build();
         let seq = random_sequence(&circuit, e.sequence_length, e.spec.seed);
@@ -51,23 +54,33 @@ fn screen_matches_scalar_conventional_on_every_suite_fault() {
         assert_eq!(outcome.detections.len(), faults.len());
         assert!(outcome.gate_evaluations > 0, "{}", e.name);
 
-        let verdicts = outcome.detections.iter().zip(&outcome.condition_c);
-        for (fault, (screened, &holds)) in faults.iter().zip(verdicts) {
-            let (scalar, faulty) = run_conventional(&circuit, &seq, &good, fault);
-            assert_eq!(
-                *screened, scalar,
-                "{}: screen and scalar conventional disagree on {fault}",
-                e.name
-            );
-            if screened.is_none() {
-                assert_eq!(
-                    holds,
-                    scalar_condition_c(&good, &faulty),
-                    "{}: screen and scalar condition (C) disagree on {fault}",
-                    e.name
-                );
+        let verdicts: Vec<_> = faults
+            .iter()
+            .zip(outcome.detections.iter().zip(&outcome.condition_c))
+            .collect();
+        let (circuit, seq, good) = (&circuit, &seq, &good);
+        std::thread::scope(|scope| {
+            for part in verdicts.chunks(verdicts.len().div_ceil(threads).max(1)) {
+                scope.spawn(move || {
+                    for &(fault, (screened, &holds)) in part {
+                        let (scalar, faulty) = run_conventional(circuit, seq, good, fault);
+                        assert_eq!(
+                            *screened, scalar,
+                            "{}: screen and scalar conventional disagree on {fault}",
+                            e.name
+                        );
+                        if screened.is_none() {
+                            assert_eq!(
+                                holds,
+                                scalar_condition_c(good, &faulty),
+                                "{}: screen and scalar condition (C) disagree on {fault}",
+                                e.name
+                            );
+                        }
+                    }
+                });
             }
-        }
+        });
     }
 }
 
@@ -329,14 +342,14 @@ proptest! {
         }
     }
 
-    /// Campaign equality under screening holds on random circuits too.
+    /// Campaign equality under screening holds on random circuits too, over
+    /// the full fault list: equivalent faults share one screen lane, while
+    /// the unscreened campaign decides each member from its own scalar trace.
     #[test]
     fn screened_campaign_matches_unscreened_on_random_circuits(spec in arb_spec()) {
         let circuit = generate(&spec);
         let seq = random_sequence(&circuit, 24, spec.seed ^ 0x5eed);
-        let faults = collapse_faults(&circuit, &full_fault_list(&circuit))
-            .representatives()
-            .to_vec();
+        let faults = full_fault_list(&circuit);
         let screened = run_campaign(&circuit, &seq, &faults, &CampaignOptions::new());
         let unscreened = run_campaign(
             &circuit,
