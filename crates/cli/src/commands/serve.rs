@@ -32,7 +32,7 @@
 //! -> {"op":"lease","worker":"w1"}
 //! <- {"ok":true,"outcome":"assigned","job":"…","shard":0,"shards":2,
 //!     "attempt":1,"lease_ms":10000,"heartbeat_ms":2000,"spec":"…"}
-//! <- {"ok":true,"outcome":"idle","retry_after_ms":500} | {"outcome":"draining"}
+//! <- {"ok":true,"outcome":"idle"} | {"ok":true,"outcome":"draining"}
 //! -> {"op":"heartbeat","worker":"w1","job":"…","shard":0}
 //! <- {"ok":true,"lease":"held"} | {"ok":true,"lease":"lost"}
 //! -> {"op":"complete","worker":"w1","job":"…","shard":0,"data":"<hex>"}
@@ -40,6 +40,11 @@
 //! -> {"op":"fail","worker":"w1","job":"…","shard":0,"error":"…"}
 //! <- {"ok":true}
 //! ```
+//!
+//! A `lease` with nothing to grant blocks for up to `LEASE_WAIT` (10 s): it
+//! answers `assigned` as soon as a shard becomes grantable, `draining` as
+//! soon as drain starts, and `idle` only when the wait passes. A worker that
+//! hangs up while it waits is never granted a shard.
 //!
 //! Submissions reuse the spool's [`JobSpec`] text as their wire payload, so
 //! the daemon validates them with exactly the parser that guards the spool,
@@ -54,7 +59,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use moa_core::{
     verdict_digest, CampaignOptions, CanonHash, Completion, DispatchOptions, Dispatcher, Event,
@@ -82,6 +87,11 @@ const STATUS_USAGE: &str = "usage: moa status [--addr HOST:PORT | --spool DIR] [
 
 /// The name of the address-discovery file the daemon drops into its spool.
 pub(crate) const ADDR_FILE: &str = "daemon.addr";
+
+/// How long a `lease` with nothing to grant blocks before it answers
+/// `idle`. Well inside a worker's socket read timeout, so a blocked lease
+/// never reads as a dead daemon.
+pub(crate) const LEASE_WAIT: Duration = Duration::from_secs(10);
 
 // ---------------------------------------------------------------------------
 // moa serve
@@ -143,11 +153,6 @@ pub fn run_serve(args: &[String], out: &mut dyn std::io::Write) -> Result<(), Cl
     let local = listener
         .local_addr()
         .map_err(|e| CliError::Failed(format!("cannot read the bound address: {e}")))?;
-    // Polling accept keeps the loop responsive to the signal flag without
-    // any async machinery.
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| CliError::Failed(format!("cannot set the listener non-blocking: {e}")))?;
 
     // Discovery hint for `moa submit/status --spool DIR` and for CI jobs
     // that bind port 0.
@@ -169,9 +174,25 @@ pub fn run_serve(args: &[String], out: &mut dyn std::io::Write) -> Result<(), Cl
     out.flush()?;
 
     signals::install();
+    // The accept below blocks, and a signal does not interrupt it (the
+    // handler restarts system calls), so a watcher thread wakes it with one
+    // connection to our own address once the signal flag is set.
+    let waker = std::thread::Builder::new()
+        .name("moa-serve-signal".into())
+        .spawn(move || {
+            while !signals::interrupted() {
+                std::thread::sleep(Duration::from_millis(25));
+            }
+            let _ = TcpStream::connect(local);
+        })
+        .map_err(|e| CliError::Failed(format!("cannot start the signal watcher: {e}")))?;
     let server = Arc::new(server);
-    while !signals::interrupted() {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if signals::interrupted() {
+            break;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 let server = Arc::clone(&server);
                 // Handler threads are detached: they die with the process
@@ -181,13 +202,11 @@ pub fn run_serve(args: &[String], out: &mut dyn std::io::Write) -> Result<(), Cl
                     .name("moa-serve-conn".into())
                     .spawn(move || handle_connection(&server, stream, ConnLimits::default()));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(25));
-            }
             // Transient accept errors (EMFILE, ECONNABORTED): keep serving.
             Err(_) => std::thread::sleep(Duration::from_millis(25)),
         }
     }
+    let _ = waker.join();
 
     writeln!(out, "signal received: draining (a second signal force-quits)")?;
     out.flush()?;
@@ -415,7 +434,10 @@ fn dispatch(server: &Server, line: &str, writer: &mut TcpStream) -> Result<Optio
         "lease" => {
             let d = dispatcher(server)?;
             let worker = str_field(&request, "worker", "lease")?;
-            let reply = match d.lease(worker).map_err(|e| e.to_string())? {
+            let lease = d
+                .lease_wait(worker, LEASE_WAIT, || hung_up(writer))
+                .map_err(|e| e.to_string())?;
+            let reply = match lease {
                 Lease::Assigned(a) => Json::obj(vec![
                     ("ok", Json::Bool(true)),
                     ("outcome", Json::str("assigned")),
@@ -427,10 +449,9 @@ fn dispatch(server: &Server, line: &str, writer: &mut TcpStream) -> Result<Optio
                     ("heartbeat_ms", Json::num(a.heartbeat_ms)),
                     ("spec", Json::str(a.spec)),
                 ]),
-                Lease::Idle { retry_after_ms } => Json::obj(vec![
+                Lease::Idle {} => Json::obj(vec![
                     ("ok", Json::Bool(true)),
                     ("outcome", Json::str("idle")),
-                    ("retry_after_ms", Json::num(retry_after_ms)),
                 ]),
                 Lease::Draining => Json::obj(vec![
                     ("ok", Json::Bool(true)),
@@ -509,6 +530,25 @@ fn dispatch(server: &Server, line: &str, writer: &mut TcpStream) -> Result<Optio
         }
         other => Err(format!("unknown op `{other}`")),
     }
+}
+
+/// Whether the peer of `stream` has hung up: a non-blocking peek that reads
+/// end-of-stream or fails. Pipelined request bytes, or none yet, mean the
+/// peer is still there.
+fn hung_up(stream: &TcpStream) -> bool {
+    if stream.set_nonblocking(true).is_err() {
+        // A blocking peek would wait for the worker's next request.
+        return false;
+    }
+    let gone = match stream.peek(&mut [0u8]) {
+        Ok(n) => n == 0,
+        Err(e) => !matches!(
+            e.kind(),
+            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::Interrupted
+        ),
+    };
+    let _ = stream.set_nonblocking(false);
+    gone
 }
 
 /// The dispatch ops are only meaningful when the daemon runs `--dispatch`.
@@ -727,32 +767,85 @@ impl Connection {
     }
 
     pub(crate) fn read_reply(&mut self) -> Result<Json, CliError> {
-        let mut line = String::new();
-        let n = self
-            .reader
-            .read_line(&mut line)
-            .map_err(|e| CliError::Failed(format!("cannot read from the daemon: {e}")))?;
-        if n == 0 {
-            return Err(CliError::Failed(
-                "the daemon closed the connection".into(),
-            ));
+        let mut line = Vec::new();
+        self.reader
+            .read_until(b'\n', &mut line)
+            .map_err(|e| read_failed(&e))?;
+        parse_reply(line)
+    }
+
+    /// Reads one reply like [`read_reply`](Self::read_reply), but with the
+    /// socket read timeout cut to `slice`: between slices `stop` may give up
+    /// on the reply (`Ok(None)`; it may still arrive, so the caller must
+    /// drop the connection), and a reply that has not arrived within `limit`
+    /// is an error. Bytes that arrive across slices are kept.
+    pub(crate) fn read_reply_sliced(
+        &mut self,
+        slice: Duration,
+        limit: Duration,
+        stop: impl Fn() -> bool,
+    ) -> Result<Option<Json>, CliError> {
+        let socket = |e: std::io::Error| CliError::Failed(format!("cannot set socket timeouts: {e}"));
+        let restore = self.writer.read_timeout().map_err(socket)?;
+        self.writer.set_read_timeout(Some(slice)).map_err(socket)?;
+        let deadline = Instant::now() + limit;
+        let mut line = Vec::new();
+        let read = loop {
+            match self.reader.read_until(b'\n', &mut line) {
+                Ok(_) => break Ok(true),
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    if stop() {
+                        break Ok(false);
+                    }
+                    if Instant::now() >= deadline {
+                        break Err(e);
+                    }
+                }
+                Err(e) => break Err(e),
+            }
+        };
+        self.writer.set_read_timeout(restore).map_err(socket)?;
+        if !read.map_err(|e| read_failed(&e))? {
+            return Ok(None);
         }
-        let reply = Json::parse(line.trim_end())
-            .map_err(|e| CliError::Failed(format!("bad reply from the daemon: {e}")))?;
-        if reply.get("ok").and_then(Json::as_bool) == Some(false) {
-            let message = reply
-                .get("error")
-                .and_then(Json::as_str)
-                .unwrap_or("unknown error");
-            return Err(CliError::Failed(format!("daemon error: {message}")));
-        }
-        Ok(reply)
+        parse_reply(line).map(Some)
     }
 
     pub(crate) fn request(&mut self, value: &Json) -> Result<Json, CliError> {
         self.send(value)?;
         self.read_reply()
     }
+}
+
+fn read_failed(e: &std::io::Error) -> CliError {
+    CliError::Failed(format!("cannot read from the daemon: {e}"))
+}
+
+/// Parses one reply line. A line cut short by end-of-stream means the
+/// daemon hung up; an `{"ok":false}` reply is the daemon's error.
+fn parse_reply(line: Vec<u8>) -> Result<Json, CliError> {
+    if !line.ends_with(b"\n") {
+        return Err(CliError::Failed(
+            "the daemon closed the connection".into(),
+        ));
+    }
+    let line = String::from_utf8(line)
+        .map_err(|_| CliError::Failed("bad reply from the daemon: not UTF-8".into()))?;
+    let reply = Json::parse(line.trim_end())
+        .map_err(|e| CliError::Failed(format!("bad reply from the daemon: {e}")))?;
+    if reply.get("ok").and_then(Json::as_bool) == Some(false) {
+        let message = reply
+            .get("error")
+            .and_then(Json::as_str)
+            .unwrap_or("unknown error");
+        return Err(CliError::Failed(format!("daemon error: {message}")));
+    }
+    Ok(reply)
 }
 
 /// `--addr HOST:PORT` wins; otherwise `--spool DIR` reads the daemon's
@@ -1172,10 +1265,7 @@ mod tests {
                 ]))
                 .expect("lease");
             match field(&reply, "outcome") {
-                "idle" => {
-                    assert!(reply.get("retry_after_ms").and_then(Json::as_u64).is_some());
-                    std::thread::sleep(Duration::from_millis(10));
-                }
+                "idle" => {}
                 "assigned" => {
                     assert_eq!(field(&reply, "job"), hash.to_string());
                     let shard =
@@ -1253,6 +1343,81 @@ mod tests {
         assert_eq!(server.drain().expect("drain"), 0);
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&scratch);
+    }
+
+    /// A dispatch-mode daemon with `shards` shards per job.
+    fn dispatch_server(tag: &str, shards: usize) -> (Arc<Server>, std::path::PathBuf) {
+        let dir = temp_spool(tag);
+        let options = ServeOptions {
+            shards,
+            dispatch: Some(DispatchOptions::default()),
+            ..ServeOptions::new(&dir)
+        };
+        (Arc::new(Server::start(options).expect("start")), dir)
+    }
+
+    fn lease_op(worker: &str) -> Json {
+        Json::obj(vec![("op", Json::str("lease")), ("worker", Json::str(worker))])
+    }
+
+    /// Long enough for a sent lease to be blocked in the daemon.
+    fn let_it_block() {
+        std::thread::sleep(Duration::from_millis(200));
+    }
+
+    /// A worker that hangs up while its lease is blocked is never granted:
+    /// the job that arrives next goes, as its first attempt, to the next
+    /// worker that asks.
+    #[test]
+    fn a_lease_from_a_closed_connection_grants_nothing() {
+        #[cfg(feature = "failpoints")]
+        let _guard = moa_core::failpoint::test_lock();
+        let (server, dir) = dispatch_server("gone-lessee", 1);
+        let (ghost_addr, ghost_handler) = one_shot_handler(&server, ConnLimits::default());
+        let (addr, handler) = one_shot_handler(&server, ConnLimits::default());
+
+        let mut ghost = Connection::open(&ghost_addr).expect("connect");
+        ghost.send(&lease_op("ghost")).expect("lease");
+        let_it_block();
+        drop(ghost);
+
+        let mut conn = Connection::open(&addr).expect("connect");
+        let reply = conn
+            .request(&Json::obj(vec![
+                ("op", Json::str("submit")),
+                ("spec", Json::str(s27_spec().to_text())),
+            ]))
+            .expect("submit");
+        assert_eq!(field(&reply, "outcome"), "accepted");
+        ghost_handler.join().expect("the ghost's handler returns");
+        let reply = conn.request(&lease_op("live")).expect("lease");
+        assert_eq!(field(&reply, "outcome"), "assigned", "{reply:?}");
+        assert_eq!(reply.get("attempt").and_then(Json::as_u64), Some(1), "{reply:?}");
+
+        drop(conn);
+        handler.join().expect("handler");
+        server.drain().expect("drain");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_blocked_lease_answers_draining_when_the_daemon_drains() {
+        #[cfg(feature = "failpoints")]
+        let _guard = moa_core::failpoint::test_lock();
+        let (server, dir) = dispatch_server("lease-drain", 2);
+        let (addr, handler) = one_shot_handler(&server, ConnLimits::default());
+        let mut conn = Connection::open(&addr).expect("connect");
+        conn.send(&lease_op("w1")).expect("lease");
+        let_it_block();
+        let drained = std::time::Instant::now();
+        assert_eq!(server.drain().expect("drain"), 0);
+        let reply = conn.read_reply().expect("reply");
+        let waited = drained.elapsed();
+        assert_eq!(field(&reply, "outcome"), "draining", "{reply:?}");
+        assert!(waited < Duration::from_secs(1), "answered {waited:?} after the drain");
+        drop(conn);
+        handler.join().expect("handler");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The dispatch ops are a hard error on a daemon not running

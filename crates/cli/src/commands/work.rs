@@ -9,6 +9,14 @@
 //! that makes the system exactly-once — leases, attempt budgets, strict
 //! upload validation, the tiling audit at merge — lives in the daemon.
 //!
+//! An idle worker holds one `lease` request open: the daemon answers it as
+//! soon as a shard becomes grantable (or drain starts), and with `idle`
+//! after `LEASE_WAIT`, whereupon the worker asks again at once. So an idle
+//! worker sends at most one request per `LEASE_WAIT`, and a new job starts
+//! without waiting for a poll. While it waits, the worker reads the reply
+//! in `LEASE_SLICE`s of 100 ms, so its first SIGINT/SIGTERM or
+//! `--max-idle-ms` still ends it promptly.
+//!
 //! Failure handling:
 //!
 //! - **Daemon unreachable** — reconnect with jittered exponential backoff.
@@ -30,7 +38,7 @@ use std::time::{Duration, Instant};
 use moa_core::JobSpec;
 use moa_netlist::full_fault_list;
 
-use crate::commands::serve::{field, Connection, ADDR_FILE};
+use crate::commands::serve::{field, Connection, ADDR_FILE, LEASE_WAIT};
 use crate::jsonx::{hex_encode, Json};
 use crate::{signals, ArgParser, CliError};
 
@@ -41,6 +49,10 @@ const WORK_USAGE: &str = "usage: moa work --connect HOST:PORT | --addr HOST:PORT
 /// in-memory, so anything slower than this means the daemon is gone.
 const READ_TIMEOUT: Duration = Duration::from_secs(30);
 const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// How often a worker waiting on a lease reply checks for a signal and its
+/// idle limit.
+const LEASE_SLICE: Duration = Duration::from_millis(100);
 
 /// Reconnect backoff: 100 ms doubling to a 5 s ceiling, plus per-worker
 /// jitter so a fleet restarted together does not reconnect in lockstep.
@@ -116,11 +128,18 @@ pub fn run(args: &[String], out: &mut dyn std::io::Write) -> Result<(), CliError
                 writeln!(out, "worker {worker_id}: idle limit reached; exiting")?;
                 return Ok(());
             }
-            let reply = match conn.request(&Json::obj(vec![
-                ("op", Json::str("lease")),
-                ("worker", Json::str(worker_id.clone())),
-            ])) {
-                Ok(reply) => reply,
+            let stop = || signals::interrupted() || idled_out(max_idle, idle_since);
+            let reply = match conn
+                .send(&Json::obj(vec![
+                    ("op", Json::str("lease")),
+                    ("worker", Json::str(worker_id.clone())),
+                ]))
+                .and_then(|()| {
+                    conn.read_reply_sliced(LEASE_SLICE, LEASE_WAIT + READ_TIMEOUT, stop)
+                }) {
+                Ok(Some(reply)) => reply,
+                // A signal or the idle limit; the loop checks report which.
+                Ok(None) => continue,
                 Err(e) => {
                     // Daemon errors (an armed failpoint, a restart mid-reply)
                     // and transport errors both land here: drop the
@@ -136,14 +155,7 @@ pub fn run(args: &[String], out: &mut dyn std::io::Write) -> Result<(), CliError
                     writeln!(out, "worker {worker_id}: daemon is draining; exiting")?;
                     return Ok(());
                 }
-                "idle" => {
-                    let wait = reply
-                        .get("retry_after_ms")
-                        .and_then(Json::as_u64)
-                        .unwrap_or(500)
-                        .min(1_000);
-                    sleep_interruptible(Duration::from_millis(wait));
-                }
+                "idle" => {}
                 "assigned" => {
                     if run_assignment(&mut conn, &addr, &worker_id, &scratch_root, &reply, out)
                         .is_err()

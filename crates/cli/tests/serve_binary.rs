@@ -309,3 +309,92 @@ fn campaign_sigint_checkpoints_and_resume_reproduces_the_digest() {
         "interrupt + resume must reproduce the uninterrupted verdicts"
     );
 }
+
+/// Starts `moa work` against the daemon spooling at `spool`, logging to
+/// `log`.
+fn start_worker(spool: &Path, dir: &Path, log: &Path, extra: &[&str]) -> Child {
+    let logf = std::fs::File::create(log).unwrap();
+    let errf = logf.try_clone().unwrap();
+    moa()
+        .arg("work")
+        .arg("--spool")
+        .arg(spool)
+        .arg("--scratch")
+        .arg(dir.join("scratch"))
+        .args(extra)
+        .stdout(Stdio::from(logf))
+        .stderr(Stdio::from(errf))
+        .spawn()
+        .unwrap()
+}
+
+/// Waits for `child` to exit; returns its exit code and when it exited.
+fn wait_exit(child: &mut Child, timeout: Duration) -> (Option<i32>, Instant) {
+    let start = Instant::now();
+    loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            return (status.code(), Instant::now());
+        }
+        if start.elapsed() > timeout {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("the process did not exit within {timeout:?}");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// An idle worker waits inside a blocked lease, yet still exits promptly
+/// and cleanly on its first SIGTERM.
+#[test]
+fn idle_worker_blocked_in_a_lease_exits_promptly_on_sigterm() {
+    let dir = scratch("idle-sigterm");
+    let spool = dir.join("spool");
+    let log = dir.join("daemon.log");
+    let mut daemon = start_daemon(&spool, &log, &["--dispatch"]);
+    let worker_log = dir.join("worker.log");
+    let mut worker = start_worker(&spool, &dir, &worker_log, &[]);
+    wait_for("the worker to connect", Duration::from_secs(30), || {
+        read(&worker_log).contains("connected to")
+    });
+    // Let its first lease request reach the daemon and block there.
+    std::thread::sleep(Duration::from_millis(300));
+    let signalled = Instant::now();
+    send_signal(&worker, "-TERM");
+    let (code, exited) = wait_exit(&mut worker, Duration::from_secs(30));
+    send_signal(&daemon, "-TERM");
+    assert_eq!(daemon.wait().unwrap().code(), Some(0), "{}", read(&log));
+
+    let took = exited.saturating_duration_since(signalled);
+    assert_eq!(code, Some(0), "{}", read(&worker_log));
+    assert!(
+        read(&worker_log).contains("interrupted; exiting"),
+        "{}",
+        read(&worker_log)
+    );
+    assert!(took < Duration::from_secs(1), "exited {took:?} after SIGTERM");
+}
+
+/// `--max-idle-ms` still ends a worker whose lease is blocked in the daemon.
+#[test]
+fn idle_limit_ends_a_worker_blocked_in_a_lease() {
+    let dir = scratch("idle-limit");
+    let spool = dir.join("spool");
+    let log = dir.join("daemon.log");
+    let mut daemon = start_daemon(&spool, &log, &["--dispatch"]);
+    let worker_log = dir.join("worker.log");
+    let started = Instant::now();
+    let mut worker = start_worker(&spool, &dir, &worker_log, &["--max-idle-ms", "300"]);
+    let (code, exited) = wait_exit(&mut worker, Duration::from_secs(30));
+    send_signal(&daemon, "-TERM");
+    assert_eq!(daemon.wait().unwrap().code(), Some(0), "{}", read(&log));
+
+    let took = exited.saturating_duration_since(started);
+    assert_eq!(code, Some(0), "{}", read(&worker_log));
+    assert!(
+        read(&worker_log).contains("idle limit reached"),
+        "{}",
+        read(&worker_log)
+    );
+    assert!(took < Duration::from_secs(2), "exited {took:?} after start");
+}

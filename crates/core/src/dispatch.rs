@@ -11,9 +11,11 @@
 //!   heartbeat interval. A worker that keeps heartbeating keeps its lease; a
 //!   worker that dies (or partitions away) lets the lease expire, and the
 //!   shard is re-dispatched — after an exponential backoff — to the next
-//!   worker that asks. An in-process lease has no deadline: its holder is
-//!   the calling thread, which always reports back, and a panic there is
-//!   caught and reported as a failed attempt.
+//!   worker that asks. An idle worker's ask blocks
+//!   ([`Dispatcher::lease_wait`]) until a shard is grantable, so a new job
+//!   starts without waiting for a poll. An in-process lease has no
+//!   deadline: its holder is the calling thread, which always reports back,
+//!   and a panic there is caught and reported as a failed attempt.
 //! - **Attempt budgets.** Each lease grant counts against a per-shard
 //!   budget. A failed attempt (a reported error, a panic, a rejected
 //!   result, an expired lease) requeues the shard after its backoff; a shard
@@ -65,8 +67,6 @@ pub struct DispatchOptions {
     /// Base delay before an expired/failed shard is re-dispatched; attempt
     /// `n`'s delay is `backoff * 2^(n-1)`, capped by the doubling count.
     pub backoff: Duration,
-    /// The idle-poll hint handed to workers when no shard is runnable.
-    pub retry_after_ms: u64,
 }
 
 impl Default for DispatchOptions {
@@ -76,7 +76,6 @@ impl Default for DispatchOptions {
             heartbeat: Duration::from_secs(2),
             attempts: 3,
             backoff: Duration::from_millis(100),
-            retry_after_ms: 500,
         }
     }
 }
@@ -86,12 +85,10 @@ impl Default for DispatchOptions {
 pub enum Lease {
     /// One shard, leased to the asking worker.
     Assigned(Assignment),
-    /// Nothing runnable right now (all shards leased, backing off, or no
-    /// job registered). Ask again after the hint.
-    Idle {
-        /// Worker retry hint, milliseconds.
-        retry_after_ms: u64,
-    },
+    /// Nothing became runnable within the wait (all shards leased, backing
+    /// off, or no job registered). Ask again. Braced with no fields, so a
+    /// `Lease::Idle { .. }` pattern stays valid and lint-clean.
+    Idle {},
     /// The daemon is draining; the worker should disconnect.
     Draining,
 }
@@ -232,7 +229,8 @@ enum Step {
 /// remote workers).
 pub struct Dispatcher {
     inner: Mutex<DispatchInner>,
-    /// Signalled on every completion/quarantine/drain so `wait_job` wakes.
+    /// Signalled on registration, withdrawal, completion, failure and
+    /// drain, so `wait_job` and blocked leases wake.
     progress: Condvar,
     shards: usize,
     options: DispatchOptions,
@@ -329,43 +327,75 @@ impl Dispatcher {
         Ok(())
     }
 
-    /// Stops handing out remote work: every subsequent
-    /// [`lease`](Self::lease) answers [`Lease::Draining`] and every
-    /// heartbeat answers [`Heartbeat::Lost`], so remote workers checkpoint
-    /// and disconnect at their next probe.
+    /// Stops handing out remote work: every blocked and every subsequent
+    /// [`lease_wait`](Self::lease_wait) answers [`Lease::Draining`] and
+    /// every heartbeat answers [`Heartbeat::Lost`], so remote workers
+    /// checkpoint and disconnect at their next probe.
     pub fn drain(&self) -> Result<(), Error> {
         self.lock().draining = true;
         self.progress.notify_all();
         Ok(())
     }
 
-    /// Asks for one shard of work on behalf of `worker`.
+    /// Asks for one shard of work on behalf of `worker`, answering at once.
     pub fn lease(&self, worker: &str) -> Result<Lease, Error> {
+        self.lease_wait(worker, Duration::ZERO, || false)
+    }
+
+    /// Asks for one shard of work on behalf of `worker`, waiting up to
+    /// `wait` for one to become grantable. Answers [`Lease::Draining`] as
+    /// soon as draining starts, and [`Lease::Idle`] once `wait` passes.
+    ///
+    /// The wait sleeps on the progress condvar, which `register_job`,
+    /// `forget_job`, a publish, `fail` and `drain` notify, with a timeout at
+    /// the next backoff end or remote lease deadline, so an expiring backoff
+    /// or lease wakes it without a timer thread.
+    /// `gone` is asked, with the table locked, before every grant: once it
+    /// answers `true` (the asking worker hung up), nothing is granted and
+    /// the call returns.
+    pub fn lease_wait(
+        &self,
+        worker: &str,
+        wait: Duration,
+        gone: impl Fn() -> bool,
+    ) -> Result<Lease, Error> {
         validate_worker_id(worker)?;
         refuse_lease()?;
-        let now = Instant::now();
+        let cap = Instant::now() + wait;
         let mut inner = self.lock();
-        if inner.draining {
-            return Ok(Lease::Draining);
+        loop {
+            if inner.draining {
+                return Ok(Lease::Draining);
+            }
+            if gone() {
+                return Ok(Lease::Idle {});
+            }
+            let now = Instant::now();
+            let deadline = now + self.options.lease;
+            if let Some((job, shard, attempt)) =
+                grant(&mut inner, None, worker, Some(deadline), now, &self.options)
+            {
+                let table = &inner.jobs[&job];
+                return Ok(Lease::Assigned(Assignment {
+                    job,
+                    shard,
+                    shards: table.units.len(),
+                    attempt,
+                    lease_ms: duration_ms(self.options.lease),
+                    heartbeat_ms: duration_ms(self.options.heartbeat),
+                    spec: table.spec_text.clone(),
+                }));
+            }
+            if now >= cap {
+                return Ok(Lease::Idle {});
+            }
+            let wake = next_change(&inner).map_or(cap, |at| at.min(cap));
+            inner = self
+                .progress
+                .wait_timeout(inner, wake.saturating_duration_since(now))
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
-        let deadline = now + self.options.lease;
-        let Some((job, shard, attempt)) =
-            grant(&mut inner, None, worker, Some(deadline), now, &self.options)
-        else {
-            return Ok(Lease::Idle {
-                retry_after_ms: self.options.retry_after_ms,
-            });
-        };
-        let table = &inner.jobs[&job];
-        Ok(Lease::Assigned(Assignment {
-            job,
-            shard,
-            shards: table.units.len(),
-            attempt,
-            lease_ms: duration_ms(self.options.lease),
-            heartbeat_ms: duration_ms(self.options.heartbeat),
-            spec: table.spec_text.clone(),
-        }))
     }
 
     /// Leases one of `job`'s runnable shards to the calling thread, without
@@ -735,6 +765,21 @@ fn grant(
     None
 }
 
+/// The earliest instant at which the table changes without a notify: a
+/// backoff that ends or a remote lease that expires.
+fn next_change(inner: &DispatchInner) -> Option<Instant> {
+    inner
+        .jobs
+        .values()
+        .flat_map(|job| &job.units)
+        .filter_map(|unit| match unit.state {
+            UnitState::Pending { not_before } => Some(not_before),
+            UnitState::Leased { deadline, .. } => deadline,
+            UnitState::Completed | UnitState::Quarantined { .. } => None,
+        })
+        .min()
+}
+
 /// The `fp/dispatch.lease` failpoint: an injected refusal is a transient
 /// error for remote and in-process lessees alike.
 #[cfg_attr(not(feature = "failpoints"), allow(clippy::unnecessary_wraps))]
@@ -911,15 +956,49 @@ mod tests {
             .expect("register");
     }
 
-    /// A spool holding the s27 job, and a dispatcher with the job registered.
-    fn dispatcher(tag: &str, shards: usize, options: DispatchOptions) -> (Dispatcher, CanonHash, PathBuf) {
+    /// A spool holding the s27 job, registered nowhere yet.
+    fn spooled(tag: &str) -> (Spool, CanonHash, PathBuf) {
         let dir = temp_dir(tag);
         let spool = Spool::open(&dir).expect("open spool");
         let (hash, fresh) = spool.admit(&s27_spec()).expect("admit");
         assert!(fresh);
+        (spool, hash, dir)
+    }
+
+    /// A spool holding the s27 job, and a dispatcher with the job registered.
+    fn dispatcher(tag: &str, shards: usize, options: DispatchOptions) -> (Dispatcher, CanonHash, PathBuf) {
+        let (spool, hash, dir) = spooled(tag);
         let dispatcher = Dispatcher::new(shards, options).expect("dispatcher");
         register(&dispatcher, &spool, hash);
         (dispatcher, hash, dir)
+    }
+
+    /// The wait of the blocked leases below: far beyond every wake they
+    /// expect, so a grant that only came at the cap shows as a failure.
+    const CAP: Duration = Duration::from_secs(5);
+
+    /// Blocks `worker` in [`Dispatcher::lease_wait`] on a second thread while
+    /// `act` runs on this one; returns the answer and when it arrived.
+    fn blocked_lease(
+        d: &Dispatcher,
+        worker: &str,
+        gone: impl Fn() -> bool + Sync,
+        act: impl FnOnce(),
+    ) -> (Lease, Instant) {
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                let lease = d.lease_wait(worker, CAP, &gone).expect("lease");
+                (lease, Instant::now())
+            });
+            act();
+            waiter.join().expect("waiter")
+        })
+    }
+
+    /// Long enough for the waiter thread to be blocked before the table
+    /// changes.
+    fn let_it_block() {
+        std::thread::sleep(Duration::from_millis(100));
     }
 
     /// Runs the assignment's shard the way a remote worker would (into its
@@ -1004,7 +1083,7 @@ mod tests {
         let mut shards = [a.shard, b.shard];
         shards.sort_unstable();
         assert_eq!(shards, [0, 1], "both shards leased exactly once");
-        assert!(matches!(d.lease("wc").expect("lease"), Lease::Idle { .. }));
+        assert!(matches!(d.lease("wc").expect("lease"), Lease::Idle {}));
         let stats = d.stats().expect("stats");
         assert_eq!((stats.jobs, stats.leased, stats.pending), (1, 2, 0));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1021,7 +1100,6 @@ mod tests {
             heartbeat: Duration::from_millis(20),
             backoff: Duration::from_millis(1),
             attempts: 5,
-            ..DispatchOptions::default()
         };
         let (d, hash, dir) = dispatcher("expiry", 1, options);
         let a = assignment(d.lease("worker-a").expect("lease"));
@@ -1090,7 +1168,7 @@ mod tests {
                 Heartbeat::Held
             );
             assert!(
-                matches!(d.lease("thief").expect("lease"), Lease::Idle { .. }),
+                matches!(d.lease("thief").expect("lease"), Lease::Idle {}),
                 "a heartbeating lease must not be re-dispatched"
             );
         }
@@ -1118,7 +1196,6 @@ mod tests {
             heartbeat: Duration::from_millis(10),
             backoff: Duration::from_millis(1),
             attempts: 2,
-            ..DispatchOptions::default()
         };
         let (d, hash, dir) = dispatcher("poison", 1, options);
         for attempt in 1..=2 {
@@ -1139,7 +1216,7 @@ mod tests {
             "the reason names the failure mode: {}",
             failures[0].last_error
         );
-        assert!(matches!(d.lease("late").expect("lease"), Lease::Idle { .. }));
+        assert!(matches!(d.lease("late").expect("lease"), Lease::Idle {}));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1280,7 +1357,7 @@ mod tests {
         std::thread::sleep(quick().lease * 2);
         assert_eq!(d.stats().expect("stats").leased, 1, "the lease outlives the remote deadline");
         assert!(
-            matches!(d.lease("thief").expect("lease"), Lease::Idle { .. }),
+            matches!(d.lease("thief").expect("lease"), Lease::Idle {}),
             "an in-process lease is never re-granted"
         );
         assert_eq!(d.stats().expect("stats").leased, 1);
@@ -1341,10 +1418,109 @@ mod tests {
     }
 
     #[test]
+    fn blocked_lease_is_granted_when_a_job_registers() {
+        let (spool, hash, dir) = spooled("wake-register");
+        let d = Dispatcher::new(1, quick()).expect("dispatcher");
+        let mut registered = Instant::now();
+        let (lease, answered) = blocked_lease(&d, "w", || false, || {
+            let_it_block();
+            registered = Instant::now();
+            register(&d, &spool, hash);
+        });
+        let a = assignment(lease);
+        assert_eq!((a.job, a.attempt), (hash, 1));
+        let waited = answered.saturating_duration_since(registered);
+        assert!(waited < Duration::from_millis(500), "granted {waited:?} after registration");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn blocked_lease_answers_draining_when_drain_starts() {
+        let d = Dispatcher::new(1, quick()).expect("dispatcher");
+        let mut drained = Instant::now();
+        let (lease, answered) = blocked_lease(&d, "w", || false, || {
+            let_it_block();
+            drained = Instant::now();
+            d.drain().expect("drain");
+        });
+        assert!(matches!(lease, Lease::Draining), "{lease:?}");
+        let waited = answered.saturating_duration_since(drained);
+        assert!(waited < Duration::from_millis(500), "answered {waited:?} after drain");
+    }
+
+    /// A failed shard's backoff ends with no table change to notify the
+    /// waiter; its timeout alone must wake it.
+    #[test]
+    fn blocked_lease_wakes_when_a_backoff_ends() {
+        let backoff = Duration::from_millis(200);
+        let (d, hash, dir) = dispatcher("wake-backoff", 1, DispatchOptions { backoff, ..quick() });
+        let a = assignment(d.lease("w1").expect("lease"));
+        let failed = Instant::now();
+        d.fail("w1", hash, a.shard, "injected shard error").expect("fail");
+        let (lease, answered) = blocked_lease(&d, "w2", || false, || {});
+        let b = assignment(lease);
+        assert_eq!((b.shard, b.attempt), (a.shard, 2));
+        let waited = answered.saturating_duration_since(failed);
+        assert!(waited >= backoff, "granted {waited:?} after the failure, inside the backoff");
+        assert!(waited < CAP / 2, "granted {waited:?} after the failure: only at the cap");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn blocked_lease_wakes_when_a_lease_expires() {
+        let options = DispatchOptions {
+            lease: Duration::from_millis(200),
+            heartbeat: Duration::from_millis(50),
+            backoff: Duration::from_millis(1),
+            ..DispatchOptions::default()
+        };
+        let (d, _, dir) = dispatcher("wake-expiry", 1, options.clone());
+        let leased = Instant::now();
+        let a = assignment(d.lease("silent").expect("lease"));
+        let (lease, answered) = blocked_lease(&d, "w2", || false, || {});
+        let b = assignment(lease);
+        assert_eq!((b.shard, b.attempt), (a.shard, 2));
+        let waited = answered.saturating_duration_since(leased);
+        assert!(waited >= options.lease, "granted {waited:?} after the lease, before it expired");
+        assert!(waited < CAP / 2, "granted {waited:?} after the lease: only at the cap");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A worker that hung up while blocked is never granted: the shard
+    /// stays pending, and the next worker gets its first attempt.
+    #[test]
+    fn a_gone_lessee_is_never_granted() {
+        let (spool, hash, dir) = spooled("gone");
+        let d = Dispatcher::new(1, quick()).expect("dispatcher");
+        let hung_up = std::sync::atomic::AtomicBool::new(false);
+        let probe = || hung_up.load(std::sync::atomic::Ordering::SeqCst);
+        let (lease, _) = blocked_lease(&d, "ghost", probe, || {
+            let_it_block();
+            hung_up.store(true, std::sync::atomic::Ordering::SeqCst);
+            register(&d, &spool, hash);
+        });
+        assert!(!matches!(lease, Lease::Assigned(_)), "{lease:?}");
+        assert_eq!(d.stats().expect("stats").pending, 1, "the shard stays pending");
+        let next = assignment(d.lease("w").expect("lease"));
+        assert_eq!(next.attempt, 1, "the gone lessee spent no attempt");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_empty_table_answers_idle_after_the_wait() {
+        let d = Dispatcher::new(1, quick()).expect("dispatcher");
+        let wait = Duration::from_millis(300);
+        let asked = Instant::now();
+        let lease = d.lease_wait("w", wait, || false).expect("lease");
+        assert!(matches!(lease, Lease::Idle {}), "{lease:?}");
+        assert!(asked.elapsed() >= wait, "answered idle before the wait passed");
+    }
+
+    #[test]
     fn forgotten_jobs_answer_unknown() {
         let (d, hash, dir) = dispatcher("forget", 1, quick());
         d.forget_job(hash).expect("forget");
-        assert!(matches!(d.lease("w").expect("lease"), Lease::Idle { .. }));
+        assert!(matches!(d.lease("w").expect("lease"), Lease::Idle {}));
         assert!(d.wait_job(hash, || false).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -359,7 +359,6 @@ fn dispatched_job_completes_bit_identical_despite_a_dying_worker() {
             heartbeat: Duration::from_millis(100),
             backoff: Duration::from_millis(5),
             attempts: 10,
-            ..moa_core::DispatchOptions::default()
         }),
         ..ServeOptions::new(&dir)
     };
