@@ -1,7 +1,6 @@
 //! One module per subcommand.
 
 pub mod analyze;
-pub mod bench;
 pub mod campaign;
 pub mod exact;
 pub mod explain;
@@ -210,8 +209,7 @@ pub(crate) fn screen_lanes_from_args(parser: &ArgParser) -> Result<ScreenLanes, 
                 CliError::Usage(format!(
                     "--screen-lanes must be 64, 128 or 256 (got {n}): the screening \
                      kernel only exists at those machine-word widths (u64 blocks), \
-                     and rounding silently would misreport the benchmarked \
-                     configuration"
+                     and rounding silently would run a width nobody asked for"
                 ))
             })
         }
@@ -227,7 +225,7 @@ pub(crate) fn screen_threads_from_args(parser: &ArgParser) -> Result<usize, CliE
         return Err(CliError::Usage(
             "--screen-threads must be at least 1: 0 would not disable screening \
              (use --no-screen for that), and auto-detection is the library \
-             default only — spell out the worker count you want benchmarked"
+             default only — spell out the worker count you want"
                 .into(),
         ));
     }

@@ -8,17 +8,16 @@ use moa_core::{run_campaign, CampaignAudit, CampaignOptions, FaultBudget, MoaOpt
 use moa_netlist::{collapse_faults, full_fault_list};
 use moa_tpg::random_sequence;
 
-use crate::commands::{screen_lanes_from_args, screen_threads_from_args};
 use crate::{ArgParser, CliError};
 
-const USAGE: &str = "usage: moa suite [NAME...] [--baseline-too] [--audit] [--degrade] \
-[--work-limit W] [--screen-lanes 64|128|256] [--screen-threads T]";
+const USAGE: &str =
+    "usage: moa suite [NAME...] [--baseline-too] [--audit] [--degrade] [--work-limit W]";
 
 pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let parser = ArgParser::parse(
         args,
         USAGE,
-        &["work-limit", "screen-lanes", "screen-threads"],
+        &["work-limit"],
         &["baseline-too", "audit", "degrade"],
     )?;
     let filter = parser.positional();
@@ -34,8 +33,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 
     let audit = parser.switch("audit");
     let degrade = parser.switch("degrade");
-    let screen_lanes = screen_lanes_from_args(&parser)?;
-    let screen_threads = screen_threads_from_args(&parser)?;
     let work_limit = parser
         .flag("work-limit")
         .map(str::parse::<u64>)
@@ -67,8 +64,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             moa: MoaOptions::default().with_degrade(degrade),
             budget,
             audit: audit.then(CampaignAudit::default),
-            screen_lanes,
-            screen_threads,
             ..CampaignOptions::new()
         };
         let proposed = run_campaign(&circuit, &seq, &faults, &options);
@@ -172,45 +167,10 @@ mod tests {
     }
 
     #[test]
-    fn wide_screen_knobs_keep_the_verdicts() {
-        let mut plain = Vec::new();
-        run(&["s208".into()], &mut plain).unwrap();
-        let mut wide = Vec::new();
-        run(
-            &[
-                "s208".into(),
-                "--screen-lanes".into(),
-                "256".into(),
-                "--screen-threads".into(),
-                "2".into(),
-            ],
-            &mut wide,
-        )
-        .unwrap();
-        let strip_timing = |bytes: &[u8]| {
-            String::from_utf8(bytes.to_vec())
-                .unwrap()
-                .lines()
-                .map(|l| l.split("  (").next().unwrap().to_string())
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(strip_timing(&plain), strip_timing(&wide));
-    }
-
-    #[test]
     fn retired_collapse_flag_is_usage_error() {
         let mut out = Vec::new();
         let err = run(&["s208".into(), "--collapse".into()], &mut out).unwrap_err();
         assert!(matches!(err, CliError::Usage(_)), "{err}");
-    }
-
-    #[test]
-    fn bad_screen_lanes_is_usage_error() {
-        let mut out = Vec::new();
-        let err = run(&["s208".into(), "--screen-lanes".into(), "100".into()], &mut out)
-            .unwrap_err();
-        assert!(err.to_string().contains("64, 128 or 256"), "{err}");
     }
 
     #[test]

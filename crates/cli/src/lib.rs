@@ -115,8 +115,6 @@ COMMANDS:          (<bench> is a .bench file path, or suite:NAME for an embedded
               daemon queue stats, or one job's state and verdict digest
     suite     [NAME...] [--audit] [--degrade] [--work-limit W]
               run the paper's Table-2 stand-in suite
-    bench     [NAME...] [--quick] [--threads T] [--out FILE] [--check FILE]
-              benchmark the screened campaign against a committed baseline
     help                             show this message
 ";
 
@@ -148,7 +146,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         "status" => commands::serve::run_status(rest, out),
         "work" => commands::work::run(rest, out),
         "suite" => commands::suite::run(rest, out),
-        "bench" => commands::bench::run(rest, out),
         "help" | "--help" | "-h" => {
             writeln!(out, "{USAGE}")?;
             Ok(())
@@ -232,6 +229,10 @@ mod tests {
         run(&["help".to_owned()], &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("campaign"));
+        assert!(
+            !text.lines().any(|l| l.trim_start().starts_with("bench ")),
+            "help lists no `bench` command: {text}"
+        );
     }
 
     #[test]

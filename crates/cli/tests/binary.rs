@@ -33,9 +33,13 @@ fn help_exits_zero() {
 
 #[test]
 fn unknown_command_exits_two() {
-    let out = moa().arg("frobnicate").output().unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
+    // `bench` is a deleted command: it must fail like any unknown one.
+    for command in ["frobnicate", "bench"] {
+        let out = moa().arg(command).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{command}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown command"), "{command}: {err}");
+    }
 }
 
 #[test]

@@ -68,9 +68,8 @@ fn send_signal(child: &Child, sig: &str) {
     assert!(status.success(), "kill {sig} failed");
 }
 
-/// A job big enough that a kill a few hundred ms after admission is
-/// guaranteed to land mid-simulation (s298's full fault list over 2048
-/// vectors runs for seconds, not milliseconds).
+/// A job long enough to interrupt while it runs: s298's full fault list
+/// over 2048 vectors takes about half a second even in a release build.
 const JOB: [&str; 5] = ["suite:s298", "--random", "2048", "--seed", "7"];
 
 fn submit(spool: &Path, job: &[&str]) -> std::process::Output {
@@ -93,6 +92,15 @@ fn job_hash(stdout: &[u8]) -> String {
     let hash = line.trim_start_matches("accepted: job ").trim().to_owned();
     assert_eq!(hash.len(), 32, "{line}");
     hash
+}
+
+/// One job's state line from `moa status --job`.
+fn job_status(spool: &str, hash: &str) -> String {
+    let out = moa()
+        .args(["status", "--spool", spool, "--job", hash])
+        .output()
+        .unwrap();
+    String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
 /// Extracts the digest from a campaign summary's parenthesis-free
@@ -129,8 +137,11 @@ fn sigkill_recovery_is_bit_identical_and_dedupes() {
     );
     let hash = job_hash(&accepted.stdout);
 
-    // Let the worker get properly into the simulation, then pull the plug.
-    std::thread::sleep(Duration::from_millis(400));
+    // Pull the plug once the job is running. A fixed delay can outlast the
+    // whole job in a release build.
+    wait_for("the job to start running", Duration::from_secs(30), || {
+        job_status(&spool_s, &hash).contains(": running")
+    });
     daemon1.kill().unwrap();
     daemon1.wait().unwrap();
 
@@ -146,11 +157,7 @@ fn sigkill_recovery_is_bit_identical_and_dedupes() {
     // ...and finish it. Poll the status client until the job is done.
     let mut digest = String::new();
     wait_for("the re-adopted job to finish", Duration::from_mins(2), || {
-        let out = moa()
-            .args(["status", "--spool", &spool_s, "--job", &hash])
-            .output()
-            .unwrap();
-        let text = String::from_utf8_lossy(&out.stdout).into_owned();
+        let text = job_status(&spool_s, &hash);
         assert!(
             !text.contains("poisoned"),
             "the job must not be quarantined: {text}"
@@ -272,14 +279,17 @@ fn campaign_sigint_checkpoints_and_resume_reproduces_the_digest() {
     assert!(clean.status.success());
     let clean_digest = summary_digest(&clean.stdout);
 
+    // Checkpoint every 8 faults and interrupt once the first checkpoint is
+    // on disk: the signal then lands mid-campaign in debug and release
+    // builds alike, where a fixed delay can outlast the whole campaign.
     let child = moa()
         .args(common)
-        .args(["--checkpoint", &ckpt_s])
+        .args(["--checkpoint", &ckpt_s, "--checkpoint-every", "8"])
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
         .unwrap();
-    std::thread::sleep(Duration::from_millis(500));
+    wait_for("the first checkpoint", Duration::from_secs(30), || ckpt.exists());
     send_signal(&child, "-INT");
     let out = child.wait_with_output().unwrap();
     assert_eq!(
