@@ -113,8 +113,8 @@ COMMANDS:          (<bench> is a .bench file path, or suite:NAME for an embedded
               submit a campaign job to a daemon (prints the job's canonical hash)
     status    [--addr HOST:PORT | --spool DIR] [--job HASH]
               daemon queue stats, or one job's state and verdict digest
-    suite     [NAME...] [--audit] [--degrade] [--work-limit W]
-              run the paper's Table-2 stand-in suite
+    suite     [NAME...] [--baseline-too] [--audit] [--degrade] [--work-limit W]
+              the paper's Tables 2 and 3 on the stand-in suite
     help                             show this message
 ";
 

@@ -1,5 +1,5 @@
-//! Regenerates the paper's closing experiment (Section 4): fault simulation
-//! of a **deterministic** test sequence on s5378.
+//! The paper's closing experiment (Section 4): fault simulation of a
+//! **deterministic** test sequence on s5378.
 //!
 //! The paper uses the HITEC-generated sequence and reports 14 additional
 //! faults for the proposed method vs 12 for the procedure of \[4]. HITEC is a
@@ -7,14 +7,20 @@
 //! coverage-directed generator producing a short compacted sequence (see
 //! DESIGN.md §5) — run on the s5378 synthetic stand-in. The shape to compare:
 //! on the same deterministic sequence, the proposed procedure detects at
-//! least as many extra faults as the baseline, with a positive gap.
+//! least as many extra faults as the baseline.
+//!
+//! ```text
+//! cargo run --release --example hitec           # s5378, about 100 s
+//! cargo run --release --example hitec -- s298   # any suite circuit
+//! ```
 
 use std::time::Instant;
 
-use moa_bench::{run_table2_row, suite_faults};
-use moa_circuits::suite::entry;
-use moa_tpg::compact::{compact_sequence, CompactOptions};
-use moa_tpg::greedy::{generate_sequence, GreedyOptions};
+use moa_repro::circuits::suite::entry;
+use moa_repro::core::{run_campaign, CampaignOptions};
+use moa_repro::netlist::{collapse_faults, full_fault_list};
+use moa_repro::tpg::compact::{compact_sequence, CompactOptions};
+use moa_repro::tpg::greedy::{generate_sequence, GreedyOptions};
 
 fn main() {
     let name = std::env::args()
@@ -25,7 +31,10 @@ fn main() {
         std::process::exit(1);
     });
     let circuit = e.build();
-    let faults = suite_faults(&circuit);
+    // The collapsed fault list: the paper's tables count faults that way.
+    let faults = collapse_faults(&circuit, &full_fault_list(&circuit))
+        .representatives()
+        .to_vec();
 
     eprintln!("generating a deterministic sequence for {name} (HITEC stand-in)…");
     let start = Instant::now();
@@ -53,32 +62,32 @@ fn main() {
         start.elapsed()
     );
 
-    let row = run_table2_row(&circuit, &seq);
+    let baseline = run_campaign(&circuit, &seq, &faults, &CampaignOptions::baseline());
+    let proposed = run_campaign(&circuit, &seq, &faults, &CampaignOptions::new());
     println!(
         "deterministic sequence on {name}: total {}  conventional {}",
-        row.total_faults, row.conventional
+        faults.len(),
+        proposed.conventional
     );
     println!(
         "  procedure of [4]   : {} detected (+{} beyond conventional)",
-        row.baseline.detected_total(),
-        row.baseline.extra
+        baseline.detected_total(),
+        baseline.extra
     );
     println!(
         "  proposed (backward): {} detected (+{} beyond conventional)",
-        row.proposed.detected_total(),
-        row.proposed.extra
+        proposed.detected_total(),
+        proposed.extra
     );
-    println!(
-        "paper (HITEC on the real s5378): proposed +14 vs [4] +12 additional faults"
-    );
+    println!("paper (HITEC on the real s5378): proposed +14 vs [4] +12 additional faults");
     println!(
         "shape {}: proposed extra ({}) >= baseline extra ({})",
-        if row.proposed.extra >= row.baseline.extra {
+        if proposed.extra >= baseline.extra {
             "HOLDS"
         } else {
             "VIOLATED"
         },
-        row.proposed.extra,
-        row.baseline.extra
+        proposed.extra,
+        baseline.extra
     );
 }

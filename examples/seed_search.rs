@@ -4,19 +4,23 @@
 //! the paper's does; conventional-coverage ratio is in the right region).
 //! Prints the best seed per circuit; the chosen values are then frozen into
 //! `moa_circuits::suite`.
+//!
+//! ```text
+//! cargo run --release --example seed_search            # window of 8 seeds, every circuit
+//! cargo run --release --example seed_search -- 4 s298  # window of 4 seeds, one circuit
+//! ```
 
 use std::time::Instant;
 
-use moa_bench::run_table2_row;
-use moa_circuits::suite::suite;
-use moa_tpg::random_sequence;
+use moa_repro::circuits::suite::suite;
+use moa_repro::circuits::synth::generate;
+use moa_repro::core::{run_campaign, CampaignOptions};
+use moa_repro::netlist::{collapse_faults, full_fault_list};
+use moa_repro::tpg::random_sequence;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let window: u64 = args
-        .first()
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(8);
+    let window: u64 = args.first().and_then(|a| a.parse().ok()).unwrap_or(8);
     let only: Option<&str> = args.get(1).map(String::as_str);
 
     for entry in suite() {
@@ -36,22 +40,26 @@ fn main() {
         for offset in 0..window {
             let mut spec = entry.spec.clone();
             spec.seed = entry.spec.seed + offset;
-            let circuit = moa_circuits::synth::generate(&spec);
+            let circuit = generate(&spec);
             let seq = random_sequence(&circuit, entry.sequence_length, spec.seed);
             let start = Instant::now();
-            let row = run_table2_row(&circuit, &seq);
+            // The collapsed fault list, as `moa suite` runs it.
+            let faults = collapse_faults(&circuit, &full_fault_list(&circuit))
+                .representatives()
+                .to_vec();
+            let baseline = run_campaign(&circuit, &seq, &faults, &CampaignOptions::baseline());
+            let proposed = run_campaign(&circuit, &seq, &faults, &CampaignOptions::new());
             let elapsed = start.elapsed();
 
-            let extra_p = row.proposed.extra as f64;
-            let extra_b = row.baseline.extra as f64;
-            let conv_ratio = row.conventional as f64 / row.total_faults.max(1) as f64;
+            let extra_p = proposed.extra as f64;
+            let extra_b = baseline.extra as f64;
+            let conv_ratio = proposed.conventional as f64 / faults.len().max(1) as f64;
             // Per-fault superset check (the paper: everything [4] detects,
             // the proposed procedure detects too).
-            let superset_violations = row
-                .baseline
+            let superset_violations = baseline
                 .statuses
                 .iter()
-                .zip(&row.proposed.statuses)
+                .zip(&proposed.statuses)
                 .filter(|(b, p)| b.is_detected() && !p.is_detected())
                 .count();
             let mut score = 0.0;
@@ -68,8 +76,12 @@ fn main() {
             score += 10.0 * (conv_ratio - paper_conv_ratio).abs();
             let summary = format!(
                 "seed {:#x}: conv {}/{} base+{} prop+{} ({:?})",
-                spec.seed, row.conventional, row.total_faults, row.baseline.extra,
-                row.proposed.extra, elapsed
+                spec.seed,
+                proposed.conventional,
+                faults.len(),
+                baseline.extra,
+                proposed.extra,
+                elapsed
             );
             println!("  {} -> score {score:.2}", summary);
             if best.as_ref().is_none_or(|(_, s, _)| score < *s) {
@@ -77,6 +89,9 @@ fn main() {
             }
         }
         let (seed, score, summary) = best.expect("window is nonempty");
-        println!("{}: BEST seed {seed:#x} score {score:.2} [{summary}]\n", entry.name);
+        println!(
+            "{}: BEST seed {seed:#x} score {score:.2} [{summary}]\n",
+            entry.name
+        );
     }
 }

@@ -18,9 +18,10 @@
 //!   ground-truth checker.
 //!
 //! See the `examples/` directory for runnable walkthroughs (`quickstart`,
-//! `s27_walkthrough`, `conflict_demo`, `expansion_table`, `campaign_report`,
-//! `test_generation`) and the `moa-bench` crate for the harnesses that
-//! regenerate the paper's tables and figures.
+//! `s27_walkthrough` and `conflict_demo` for the paper's Figures 1–4,
+//! `expansion_table`, `campaign_report`, `test_generation`) and the paper's
+//! deterministic-sequence experiment (`hitec`). The `moa suite` command of
+//! the `moa-cli` crate prints the paper's Tables 2 and 3.
 //!
 //! # Example
 //!
