@@ -24,8 +24,7 @@ const USAGE: &str = "usage: moa campaign <bench-file> [--words p,... | --random 
 [--checkpoint FILE [--checkpoint-every N] [--resume]] \
 [--shards N [--shard-id K | --merge] [--shard-dir DIR] [--shard-retries R (default 5)]] \
 [--audit[=N]] [--chaos-seed S] [--no-collapse] [--differential] \
-[--no-screen] [--screen-lanes 64|128|256] [--screen-threads T] [--learn] \
-[--prune-untestable] [--verbose]";
+[--screen-lanes 64|128|256] [--screen-threads T] [--learn] [--prune-untestable] [--verbose]";
 
 const BASELINE: &str = "baseline [4] (expansion only)";
 const PROPOSED: &str = "proposed (backward implications)";
@@ -44,8 +43,8 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             "screen-lanes", "screen-threads",
         ],
         &[
-            "baseline", "proposed", "both", "no-collapse", "differential",
-            "no-screen", "learn", "prune-untestable", "verbose", "resume", "degrade", "merge",
+            "baseline", "proposed", "both", "no-collapse", "differential", "learn",
+            "prune-untestable", "verbose", "resume", "degrade", "merge",
         ],
     )?;
     let circuit = load_circuit(parser.required(0, "bench file")?)?;
@@ -160,7 +159,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         moa,
         threads,
         differential: parser.switch("differential"),
-        screen: !parser.switch("no-screen"),
         screen_lanes,
         screen_threads,
         prune_untestable,
@@ -1004,7 +1002,7 @@ mod tests {
     }
 
     #[test]
-    fn full_list_digest_holds_audited_and_unscreened() {
+    fn full_list_digest_holds_audited() {
         let digest = |extra: &[&str]| -> String {
             let mut v = vec![
                 toggle_path(),
@@ -1028,12 +1026,8 @@ mod tests {
                 .to_string()
         };
         // The full list has classes with several members, which share one
-        // screen lane; the audit replays each member's own certificate and
-        // `--no-screen` decides every member from its own scalar trace.
-        let base = digest(&[]);
-        for extra in [&["--audit"][..], &["--no-screen"]] {
-            assert_eq!(base, digest(extra), "{extra:?} moved the digest");
-        }
+        // screen lane; the audit replays each member's own certificate.
+        assert_eq!(digest(&[]), digest(&["--audit"]), "--audit moved the digest");
     }
 
     #[test]
@@ -1043,6 +1037,7 @@ mod tests {
             &["--collapse", "--no-collapse"],
             &["--order", "natural"],
             &["--degrade-adaptive"],
+            &["--no-screen"],
         ] {
             let mut args = vec![toggle_path(), "--words".into(), "0,0,0".into(), "--proposed".into()];
             args.extend(extra.iter().map(std::string::ToString::to_string));

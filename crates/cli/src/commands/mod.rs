@@ -87,7 +87,6 @@ pub(crate) fn audit_peeled(
             })?;
             audit = Some(CampaignAudit {
                 sample_rate: rate.max(1),
-                ..CampaignAudit::default()
             });
         } else {
             filtered.push(arg.clone());
@@ -217,15 +216,15 @@ pub(crate) fn screen_lanes_from_args(parser: &ArgParser) -> Result<ScreenLanes, 
 }
 
 /// `--screen-threads`, rejecting 0 when spelled explicitly: inside the
-/// library 0 means "use every core", but an operator typing 0 almost always
-/// meant to disable screening (`--no-screen`) — make them say which.
+/// library 0 means "use every core", but an operator typing 0 may well have
+/// meant to turn screening off, which no flag does — make them say a count.
 pub(crate) fn screen_threads_from_args(parser: &ArgParser) -> Result<usize, CliError> {
     let threads = parser.num("screen-threads", 1usize)?;
     if threads == 0 {
         return Err(CliError::Usage(
-            "--screen-threads must be at least 1: 0 would not disable screening \
-             (use --no-screen for that), and auto-detection is the library \
-             default only — spell out the worker count you want"
+            "--screen-threads must be at least 1: 0 would not turn screening off \
+             (every campaign screens), and auto-detection is the library default \
+             only — spell out the worker count you want"
                 .into(),
         ));
     }

@@ -75,7 +75,7 @@ use crate::jsonx::{hex_decode, Json};
 use crate::{load_circuit, signals, ArgParser, CliError};
 
 const SERVE_USAGE: &str = "usage: moa serve --spool DIR [--addr HOST:PORT] [--workers N] \
-[--queue-depth N] [--job-attempts N] [--shards N] [--retry-after-ms MS] \
+[--queue-depth N] [--job-attempts N] [--shards N] \
 [--dispatch [--lease-ms MS] [--heartbeat-ms MS] [--dispatch-attempts N]]";
 
 const SUBMIT_USAGE: &str = "usage: moa submit <bench-file> [--addr HOST:PORT | --spool DIR] \
@@ -108,7 +108,6 @@ pub fn run_serve(args: &[String], out: &mut dyn std::io::Write) -> Result<(), Cl
             "queue-depth",
             "job-attempts",
             "shards",
-            "retry-after-ms",
             "lease-ms",
             "heartbeat-ms",
             "dispatch-attempts",
@@ -123,7 +122,6 @@ pub fn run_serve(args: &[String], out: &mut dyn std::io::Write) -> Result<(), Cl
     options.workers = parser.num("workers", options.workers)?;
     options.job_attempts = parser.num("job-attempts", options.job_attempts)?;
     options.shards = shards_from_args(&parser)?.unwrap_or(options.shards);
-    options.retry_after_ms = parser.num("retry-after-ms", options.retry_after_ms)?;
     options.dispatch = dispatch_options_from_args(&parser)?;
     let bind_addr = parser.flag("addr").unwrap_or("127.0.0.1:0").to_owned();
 

@@ -5,9 +5,11 @@
 //! detections) with the Table-3 averages of `N_det`/`N_conf`/`N_extra` over
 //! its extra-detected faults, and below them the paper's published row.
 //! `--baseline-too` adds the expansion-only baseline of \[4] as one more
-//! column, the abort analysis and the Table-2 shape check. Absolute numbers
-//! differ from the paper (the circuits are synthetic stand-ins); the shape
-//! is what EXPERIMENTS.md compares.
+//! column, the abort analysis and the Table-2 shape check. `--audit`
+//! replays every detection's certificate and counts the outcomes per
+//! circuit and in total. Absolute numbers differ from the paper (the
+//! circuits are synthetic stand-ins); the shape is what EXPERIMENTS.md
+//! compares.
 
 use std::io::Write;
 use std::time::Instant;
@@ -15,6 +17,7 @@ use std::time::Instant;
 use moa_circuits::suite::suite;
 use moa_core::{
     run_campaign, CampaignAudit, CampaignOptions, FaultBudget, FaultStatus, MoaOptions,
+    PerfCounters,
 };
 use moa_netlist::{collapse_faults, full_fault_list};
 use moa_tpg::random_sequence;
@@ -64,6 +67,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     header.push_str(&format!(" {:>8} {:>8} {:>8}", "N_det", "N_conf", "N_extra"));
     writeln!(out, "{header}")?;
     let mut total_audit_failed = 0usize;
+    let mut audits = PerfCounters::new();
     let mut any_partial = 0usize;
     let mut proven_detected = 0usize;
     let mut total_faults = 0usize;
@@ -152,8 +156,13 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         paper_line.push_str(&format!(" {det:>8.2} {conf:>8.2} {extra:>8.2}"));
         above_yardstick += usize::from(averages.extra > EXPANSION_ONLY_N_EXTRA);
         if audit {
-            line.push_str(&format!("  audit-failed: {}", proposed.audit_failed));
+            let p = &proposed.perf;
+            line.push_str(&format!(
+                "  audit-failed: {}  confirmed: {}  refuted: {}  inconclusive: {}",
+                proposed.audit_failed, p.audits_confirmed, p.audits_refuted, p.audits_inconclusive
+            ));
             total_audit_failed += proposed.audit_failed;
+            audits += proposed.perf;
         }
         if degrade {
             let partial = proposed.partial_summary();
@@ -203,6 +212,18 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             out,
             "suite coverage lower bound: {pct:.2}% ({proven_detected} of {total_faults} \
              proven detected, {any_partial} partial verdict(s))"
+        )?;
+    }
+    if audit {
+        // Only circuits under the audit's 2^14-state cap can confirm; the
+        // rest count as inconclusive, which is not a confirmation.
+        writeln!(
+            out,
+            "audit totals: {} confirmed, {} refuted, {} inconclusive, {} audit-failed",
+            audits.audits_confirmed,
+            audits.audits_refuted,
+            audits.audits_inconclusive,
+            total_audit_failed
         )?;
     }
     if audit && total_audit_failed > 0 {
@@ -304,8 +325,23 @@ mod tests {
 
     #[test]
     fn audited_entry_reports_zero_failures() {
-        let text = suite_text(&["s208", "--audit"]);
-        assert!(text.contains("audit-failed: 0"), "{text}");
+        let text = suite_text(&["s208", "s344", "--audit"]);
+        // s208's 8 flip-flops are under the audit's cap, so each of its 99
+        // detections is confirmed; s344's 15 are over it.
+        assert!(
+            row(&text, "s208")
+                .ends_with("audit-failed: 0  confirmed: 99  refuted: 0  inconclusive: 0"),
+            "{text}"
+        );
+        assert!(
+            row(&text, "s344")
+                .ends_with("audit-failed: 0  confirmed: 0  refuted: 0  inconclusive: 165"),
+            "{text}"
+        );
+        assert!(
+            text.contains("audit totals: 99 confirmed, 0 refuted, 165 inconclusive, 0 audit-failed"),
+            "{text}"
+        );
     }
 
     #[test]

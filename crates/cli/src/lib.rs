@@ -98,7 +98,7 @@ COMMANDS:          (<bench> is a .bench file path, or suite:NAME for an embedded
     extract   <bench> --nets NAME[,NAME...]      cut a fan-in cone to a new bench file
     gen       --inputs N --outputs N --ffs N --gates N [--seed S] [-o FILE]
     serve     --spool DIR [--addr HOST:PORT] [--workers N] [--queue-depth N]
-              [--job-attempts N] [--shards N] [--retry-after-ms MS]
+              [--job-attempts N] [--shards N]
               [--dispatch [--lease-ms MS] [--heartbeat-ms MS] [--dispatch-attempts N]]
               campaign daemon: bounded admission, dedupe cache, poison quarantine,
               crash recovery from the spool; first SIGINT/SIGTERM drains gracefully;

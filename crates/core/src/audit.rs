@@ -23,9 +23,9 @@
 //! # Bounds and `Inconclusive`
 //!
 //! The enumeration is exponential in the flip-flop count `k`, so the audit
-//! is bounded by [`AuditOptions::max_initial_states`] (default `2^14`).
-//! Circuits beyond the cap — or test sequences containing `X` inputs, which
-//! the two-valued replay cannot drive — yield
+//! enumerates at most `2^14` initial states: every circuit with up to 14
+//! flip-flops. Circuits beyond the cap — or test sequences containing `X`
+//! inputs, which the two-valued replay cannot drive — yield
 //! [`AuditStatus::Inconclusive`]: the detection stands un-audited, which is
 //! explicitly *not* a confirmation. Only [`AuditStatus::Refuted`] indicates
 //! unsoundness.
@@ -35,21 +35,31 @@ use moa_sim::{packed_next_state, packed_outputs, run_packed_frame, SimTrace, Tes
 
 use crate::certificate::{ClaimKind, DetectionCertificate};
 
-/// Bounds for [`audit_certificate`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AuditOptions {
-    /// Maximum number of initial states (`2^k`) the audit may enumerate;
-    /// larger state spaces yield [`AuditStatus::Inconclusive`]. The default
-    /// (`2^14 = 16384`) audits every circuit with up to 14 flip-flops.
-    pub max_initial_states: u64,
-}
+/// The most initial states (`2^k`) [`audit_certificate`] enumerates; larger
+/// state spaces yield [`AuditStatus::Inconclusive`]. `2^14 = 16384` audits
+/// every circuit with up to 14 flip-flops.
+const AUDIT_STATE_CAP: u64 = 1 << 14;
 
-impl Default for AuditOptions {
-    fn default() -> Self {
-        AuditOptions {
-            max_initial_states: 1 << 14,
-        }
-    }
+/// The `2^k` binary initial states of a `k`-flip-flop machine, 64 to a
+/// batch, as the bit-parallel two-valued simulator takes them: each item is
+/// `(base, valid, state)`, where slot `s` holds initial state index
+/// `base + s`, `valid` masks the slots in use, and `state[i]` packs
+/// flip-flop `i`'s value per slot. Shared by the audit and the exact
+/// checker; `k` must be below 64.
+pub(crate) fn initial_state_batches(k: usize) -> impl Iterator<Item = (u64, u64, Vec<u64>)> {
+    let total = 1u64 << k;
+    (0..total).step_by(64).map(move |base| {
+        let batch = (total - base).min(64);
+        let valid = if batch == 64 { u64::MAX } else { (1u64 << batch) - 1 };
+        let state = (0..k)
+            .map(|i| {
+                (0..batch)
+                    .filter(|s| (base + s) >> i & 1 == 1)
+                    .fold(0u64, |word, s| word | 1 << s)
+            })
+            .collect();
+        (base, valid, state)
+    })
 }
 
 /// The audit verdict.
@@ -99,8 +109,8 @@ impl AuditStatus {
 /// response (`z = x, 0, 0`) at some time unit.
 ///
 /// ```
-/// use moa_core::{audit_certificate, AuditOptions, CertificateClaim, ClaimKind,
-///     CertificateSource, DetectionCertificate};
+/// use moa_core::{audit_certificate, CertificateClaim, ClaimKind, CertificateSource,
+///     DetectionCertificate};
 /// use moa_netlist::{parse_bench, Fault};
 /// use moa_sim::{simulate, TestSequence};
 ///
@@ -125,8 +135,7 @@ impl AuditStatus {
 ///         },
 ///     ],
 /// };
-/// let status = audit_certificate(&c, &seq, &good, &fault, &certificate,
-///     &AuditOptions::default());
+/// let status = audit_certificate(&c, &seq, &good, &fault, &certificate);
 /// assert!(status.is_confirmed());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -136,7 +145,6 @@ pub fn audit_certificate(
     good: &SimTrace,
     fault: &Fault,
     certificate: &DetectionCertificate,
-    options: &AuditOptions,
 ) -> AuditStatus {
     let k = circuit.num_flip_flops();
     let l = seq.len();
@@ -147,12 +155,9 @@ pub fn audit_certificate(
                 .into(),
         };
     }
-    if k >= 64 || (1u64 << k) > options.max_initial_states {
+    if k >= 64 || (1u64 << k) > AUDIT_STATE_CAP {
         return AuditStatus::Inconclusive {
-            reason: format!(
-                "2^{k} initial states exceed the audit cap of {}",
-                options.max_initial_states
-            ),
+            reason: format!("2^{k} initial states exceed the audit cap of {AUDIT_STATE_CAP}"),
         };
     }
 
@@ -220,24 +225,7 @@ pub fn audit_certificate(
     }
     let num_claims = certificate.claims.len();
 
-    let total: u64 = 1u64 << k;
-    let mut base = 0u64;
-    while base < total {
-        let batch = (total - base).min(64) as u32;
-        let valid: u64 = if batch == 64 { u64::MAX } else { (1u64 << batch) - 1 };
-        // Slot s replays initial state index base + s.
-        let mut state: Vec<u64> = (0..k)
-            .map(|i| {
-                let mut word = 0u64;
-                for s in 0..u64::from(batch) {
-                    if (base + s) >> i & 1 == 1 {
-                        word |= 1 << s;
-                    }
-                }
-                word
-            })
-            .collect();
-
+    for (base, valid, mut state) in initial_state_batches(k) {
         // cube[c]: slots whose trajectory satisfies claim c's assignments so
         // far. holds[c]: slots where claim c's observation comes out as
         // claimed (meaningful for Observation claims only).
@@ -295,11 +283,10 @@ pub fn audit_certificate(
             };
             return AuditStatus::Refuted { reason };
         }
-        base += 64;
     }
 
     AuditStatus::Confirmed {
-        states_checked: total,
+        states_checked: 1u64 << k,
     }
 }
 
@@ -353,14 +340,7 @@ mod tests {
     #[test]
     fn valid_certificate_is_confirmed() {
         let (c, seq, good, fault) = toggle();
-        let status = audit_certificate(
-            &c,
-            &seq,
-            &good,
-            &fault,
-            &toggle_certificate(),
-            &AuditOptions::default(),
-        );
+        let status = audit_certificate(&c, &seq, &good, &fault, &toggle_certificate());
         assert_eq!(status, AuditStatus::Confirmed { states_checked: 2 });
     }
 
@@ -373,8 +353,7 @@ mod tests {
         if let ClaimKind::Observation { value, .. } = &mut cert.claims[0].kind {
             *value = !*value;
         }
-        let status =
-            audit_certificate(&c, &seq, &good, &fault, &cert, &AuditOptions::default());
+        let status = audit_certificate(&c, &seq, &good, &fault, &cert);
         assert!(status.is_refuted(), "{status:?}");
     }
 
@@ -389,8 +368,7 @@ mod tests {
             output: 0,
             value: true,
         };
-        let status =
-            audit_certificate(&c, &seq, &good, &fault, &cert, &AuditOptions::default());
+        let status = audit_certificate(&c, &seq, &good, &fault, &cert);
         match status {
             AuditStatus::Refuted { reason } => {
                 assert!(reason.contains("does not replay"), "{reason}");
@@ -406,8 +384,7 @@ mod tests {
         let (c, seq, good, fault) = toggle();
         let mut cert = toggle_certificate();
         cert.claims[1].assignments = vec![(0, 0, false)];
-        let status =
-            audit_certificate(&c, &seq, &good, &fault, &cert, &AuditOptions::default());
+        let status = audit_certificate(&c, &seq, &good, &fault, &cert);
         assert!(status.is_refuted(), "{status:?}");
     }
 
@@ -419,8 +396,7 @@ mod tests {
             assignments: vec![(0, 0, true)],
             kind: ClaimKind::Infeasible { time: 0 },
         });
-        let status =
-            audit_certificate(&c, &seq, &good, &fault, &cert, &AuditOptions::default());
+        let status = audit_certificate(&c, &seq, &good, &fault, &cert);
         match status {
             AuditStatus::Refuted { reason } => {
                 assert!(reason.contains("concrete witness"), "{reason}");
@@ -436,8 +412,7 @@ mod tests {
             source: CertificateSource::Expansion,
             claims: Vec::new(),
         };
-        let status =
-            audit_certificate(&c, &seq, &good, &fault, &cert, &AuditOptions::default());
+        let status = audit_certificate(&c, &seq, &good, &fault, &cert);
         assert!(status.is_refuted());
     }
 
@@ -446,36 +421,43 @@ mod tests {
         let (c, seq, good, fault) = toggle();
         let mut cert = toggle_certificate();
         cert.claims[0].assignments = vec![(99, 0, false)];
-        assert!(
-            audit_certificate(&c, &seq, &good, &fault, &cert, &AuditOptions::default())
-                .is_refuted()
-        );
+        assert!(audit_certificate(&c, &seq, &good, &fault, &cert).is_refuted());
         let mut cert = toggle_certificate();
         cert.claims[0].kind = ClaimKind::Observation {
             time: 99,
             output: 0,
             value: true,
         };
-        assert!(
-            audit_certificate(&c, &seq, &good, &fault, &cert, &AuditOptions::default())
-                .is_refuted()
-        );
+        assert!(audit_certificate(&c, &seq, &good, &fault, &cert).is_refuted());
     }
 
     #[test]
     fn state_space_over_cap_is_inconclusive() {
-        let (c, seq, good, fault) = toggle();
-        let status = audit_certificate(
-            &c,
-            &seq,
-            &good,
-            &fault,
-            &toggle_certificate(),
-            &AuditOptions {
-                max_initial_states: 1,
-            },
-        );
-        assert!(matches!(status, AuditStatus::Inconclusive { .. }));
+        // 15 resettable flip-flops: 2^15 initial states, one power of two
+        // past the cap.
+        let mut b = CircuitBuilder::new("fifteen");
+        b.add_input("r").unwrap();
+        let mut qs = Vec::new();
+        for i in 0..15 {
+            let (q, d) = (format!("q{i}"), format!("d{i}"));
+            b.add_flip_flop(&q, &d).unwrap();
+            b.add_gate(GateKind::And, &d, &["r", &q]).unwrap();
+            qs.push(q);
+        }
+        let refs: Vec<&str> = qs.iter().map(String::as_str).collect();
+        b.add_gate(GateKind::Or, "z", &refs).unwrap();
+        b.add_output("z");
+        let c = b.finish().unwrap();
+        let seq = TestSequence::from_words(&["0", "0", "0"]).unwrap();
+        let good = simulate(&c, &seq, None);
+        let fault = Fault::stem(c.find_net("r").unwrap(), true);
+        let status = audit_certificate(&c, &seq, &good, &fault, &toggle_certificate());
+        match status {
+            AuditStatus::Inconclusive { reason } => {
+                assert!(reason.contains("2^15 initial states exceed the audit cap"), "{reason}");
+            }
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]
@@ -483,14 +465,7 @@ mod tests {
         let (c, _, _, fault) = toggle();
         let seq = TestSequence::from_words(&["x", "0"]).unwrap();
         let good = simulate(&c, &seq, None);
-        let status = audit_certificate(
-            &c,
-            &seq,
-            &good,
-            &fault,
-            &toggle_certificate(),
-            &AuditOptions::default(),
-        );
+        let status = audit_certificate(&c, &seq, &good, &fault, &toggle_certificate());
         assert!(matches!(status, AuditStatus::Inconclusive { .. }));
     }
 }

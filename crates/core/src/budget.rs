@@ -92,18 +92,6 @@ impl std::fmt::Display for BudgetStage {
     }
 }
 
-impl std::str::FromStr for BudgetStage {
-    type Err = ();
-    fn from_str(s: &str) -> Result<Self, ()> {
-        match s {
-            "collection" => Ok(BudgetStage::Collection),
-            "expansion" => Ok(BudgetStage::Expansion),
-            "resimulation" => Ok(BudgetStage::Resimulation),
-            _ => Err(()),
-        }
-    }
-}
-
 /// Runtime meter charging work against one fault's [`FaultBudget`].
 ///
 /// Once exhausted it stays exhausted; callers bail out of their stage and the
@@ -307,17 +295,5 @@ mod tests {
         m.note_frontier(32);
         m.note_frontier(8);
         assert_eq!(m.perf.max_frontier, 32);
-    }
-
-    #[test]
-    fn stage_display_round_trips() {
-        for stage in [
-            BudgetStage::Collection,
-            BudgetStage::Expansion,
-            BudgetStage::Resimulation,
-        ] {
-            assert_eq!(stage.to_string().parse::<BudgetStage>(), Ok(stage));
-        }
-        assert!("bogus".parse::<BudgetStage>().is_err());
     }
 }

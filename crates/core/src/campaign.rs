@@ -1,6 +1,14 @@
 //! Whole-fault-list campaigns — the driver behind the paper's Table 2 and
 //! Table 3.
 //!
+//! Every campaign screens its pending faults a word at a time with the
+//! parallel-fault packed kernel ([`moa_sim::screen_faults_wide`]) before the
+//! per-fault procedure: the screen settles conventional detections and,
+//! under [`MoaOptions::check_condition_c`], condition-(C) failures, so only
+//! the (C)-passers get a per-fault faulty trace and enter the expansion
+//! machinery. Its verdicts are those of the scalar conventional stage and
+//! (C) check, fault by fault.
+//!
 //! Beyond the plain driver, this module is the campaign's resilience layer:
 //! per-fault budgets ([`FaultBudget`]), panic isolation
 //! ([`CampaignOptions::isolate_panics`]), and checkpoint/resume
@@ -18,7 +26,7 @@ use std::time::Instant;
 use moa_netlist::{collapse_faults, Circuit, Fault};
 use moa_sim::{screen_faults_wide, simulate, GoodFrames, ScreenLanes, SimTrace, TestSequence};
 
-use crate::audit::{audit_certificate, AuditOptions, AuditStatus};
+use crate::audit::{audit_certificate, AuditStatus};
 use crate::budget::{BudgetMeter, FaultBudget};
 use crate::certificate::DetectionCertificate;
 use crate::checkpoint::{
@@ -51,7 +59,8 @@ pub type CancelFlag = Arc<dyn Fn() -> bool + Send + Sync>;
 /// ([`CampaignOptions::audit`]): every detected fault (or a deterministic
 /// sample of them) has its [`DetectionCertificate`](crate::DetectionCertificate)
 /// validated by concrete replay, and a refuted detection is quarantined as
-/// [`FaultStatus::AuditFailed`].
+/// [`FaultStatus::AuditFailed`]. The outcome of every audit is tallied in
+/// [`PerfCounters`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignAudit {
     /// Audit every `sample_rate`-th detected fault (by fault-list index);
@@ -59,16 +68,11 @@ pub struct CampaignAudit {
     /// — the audited subset depends only on the fault list, never on thread
     /// scheduling.
     pub sample_rate: usize,
-    /// Replay bounds for each per-fault [`audit_certificate`] call.
-    pub options: AuditOptions,
 }
 
 impl Default for CampaignAudit {
     fn default() -> Self {
-        CampaignAudit {
-            sample_rate: 1,
-            options: AuditOptions::default(),
-        }
+        CampaignAudit { sample_rate: 1 }
     }
 }
 
@@ -85,19 +89,6 @@ pub struct CampaignOptions {
     /// (event-driven differential simulation). Identical results, less work
     /// per fault on large circuits.
     pub differential: bool,
-    /// Screen pending faults a word at a time with the parallel-fault packed
-    /// kernel ([`moa_sim::screen_faults_wide`]) before the per-fault
-    /// procedure: conventionally detected faults and, under
-    /// [`MoaOptions::check_condition_c`], undetected faults failing the
-    /// necessary condition (C) are dropped in batches. Only the (C)-passers
-    /// get a per-fault faulty trace and enter the expansion machinery.
-    /// Structurally equivalent faults share one lane (their faulty traces
-    /// are identical), so a full fault list costs no more screen passes
-    /// than its class representatives. Verdicts are bit-identical to the scalar conventional stage and (C)
-    /// check (each slot's verdict is independent of its batch mates), so
-    /// results are unchanged — including across checkpoint/resume, which
-    /// screens only the still-unresolved faults. On by default.
-    pub screen: bool,
     /// Lane width of the screening kernel: 64 faults per `u64` word (the
     /// default), or 128/256 per `[u64; N]` block word
     /// ([`moa_sim::ScreenLanes`]). Purely an execution knob — verdicts and
@@ -165,7 +156,6 @@ impl std::fmt::Debug for CampaignOptions {
             .field("moa", &self.moa)
             .field("threads", &self.threads)
             .field("differential", &self.differential)
-            .field("screen", &self.screen)
             .field("screen_lanes", &self.screen_lanes)
             .field("screen_threads", &self.screen_threads)
             .field("prune_untestable", &self.prune_untestable)
@@ -191,7 +181,6 @@ impl Default for CampaignOptions {
             moa: MoaOptions::default(),
             threads: 0,
             differential: false,
-            screen: true,
             screen_lanes: ScreenLanes::L64,
             screen_threads: 1,
             prune_untestable: false,
@@ -668,7 +657,7 @@ fn flush(
 /// settled: the earliest conventional detection, or — when
 /// [`MoaOptions::check_condition_c`] is set — a condition-(C) skip for an
 /// undetected fault failing (C); `None` for a fault that needs the per-fault
-/// procedure, and everywhere when screening is disabled.
+/// procedure.
 ///
 /// One lane screens each structural equivalence class of `pending`
 /// ([`collapse_faults`]): equivalent faults have identical faulty traces, so
@@ -687,9 +676,6 @@ fn screen_pending(
     perf: &mut PerfCounters,
 ) -> Vec<Option<FaultStatus>> {
     let mut screened = vec![None; faults.len()];
-    if !options.screen || pending.is_empty() {
-        return screened;
-    }
     let started = Instant::now();
     let batch: Vec<Fault> = pending.iter().map(|&i| faults[i]).collect();
     let classes = collapse_faults(circuit, &batch);
@@ -743,10 +729,10 @@ fn run_batch(
         let fault = &faults[index];
         // Deterministic sampling by fault-list index: the audited subset is
         // independent of thread count and batch boundaries.
-        let audit = options
+        let audited = options
             .audit
             .as_ref()
-            .filter(|a| index.is_multiple_of(a.sample_rate.max(1)));
+            .is_some_and(|a| index.is_multiple_of(a.sample_rate.max(1)));
         let simulate_one = || {
             if let Some(hook) = &options.fault_hook {
                 hook(index, fault);
@@ -762,11 +748,12 @@ fn run_batch(
                     counters: Counters::new(),
                     runs: 0,
                 };
-                if let (Some(audit), FaultStatus::DetectedConventional(det)) = (audit, status) {
+                let mut perf = PerfCounters::new();
+                if let (true, FaultStatus::DetectedConventional(det)) = (audited, status) {
                     let cert = DetectionCertificate::conventional(det, good);
-                    apply_audit(circuit, seq, good, fault, &mut result, Some(&cert), audit);
+                    apply_audit(circuit, seq, good, fault, &mut result, Some(&cert), &mut perf);
                 }
-                return (result, PerfCounters::new());
+                return (result, perf);
             }
             let mut meter = BudgetMeter::new(&options.budget);
             let (mut result, certificate) = simulate_fault_cached(
@@ -778,9 +765,9 @@ fn run_batch(
                 frames,
                 cones,
                 &mut meter,
-                audit.is_some(),
+                audited,
             );
-            if let Some(audit) = audit {
+            if audited {
                 apply_audit(
                     circuit,
                     seq,
@@ -788,7 +775,7 @@ fn run_batch(
                     fault,
                     &mut result,
                     certificate.as_ref(),
-                    audit,
+                    &mut meter.perf,
                 );
             }
             (result, meter.perf)
@@ -868,10 +855,11 @@ fn run_batch(
     }
 }
 
-/// Audits a detected fault's certificate by concrete replay and quarantines
-/// the detection as [`FaultStatus::AuditFailed`] when the audit refutes it.
-/// Shared between the screening short-circuit and the full pipeline so both
-/// paths treat a refutation identically.
+/// Audits a detected fault's certificate by concrete replay, tallies the
+/// outcome in `perf`, and quarantines the detection as
+/// [`FaultStatus::AuditFailed`] when the audit refutes it. Shared between
+/// the screening short-circuit and the full pipeline so both paths treat
+/// (and count) an audit identically.
 fn apply_audit(
     circuit: &Circuit,
     seq: &TestSequence,
@@ -879,19 +867,24 @@ fn apply_audit(
     fault: &Fault,
     result: &mut FaultResult,
     certificate: Option<&DetectionCertificate>,
-    audit: &CampaignAudit,
+    perf: &mut PerfCounters,
 ) {
     if !result.status.is_detected() {
         return;
     }
     let status = match certificate {
-        Some(cert) => audit_certificate(circuit, seq, good, fault, cert, &audit.options),
+        Some(cert) => audit_certificate(circuit, seq, good, fault, cert),
         None => AuditStatus::Refuted {
             reason: "detected fault emitted no certificate".to_owned(),
         },
     };
-    if let AuditStatus::Refuted { reason } = status {
-        result.status = FaultStatus::AuditFailed { reason };
+    match status {
+        AuditStatus::Confirmed { .. } => perf.audits_confirmed += 1,
+        AuditStatus::Inconclusive { .. } => perf.audits_inconclusive += 1,
+        AuditStatus::Refuted { reason } => {
+            perf.audits_refuted += 1;
+            result.status = FaultStatus::AuditFailed { reason };
+        }
     }
 }
 
@@ -924,6 +917,49 @@ mod tests {
         let c = b.finish().unwrap();
         let seq = TestSequence::from_words(&["0", "0", "0"]).unwrap();
         (c, seq)
+    }
+
+    /// The campaign's statuses, and the Table-3 counters of its
+    /// extra-detected faults, equal the per-fault procedure's — with its own
+    /// scalar conventional stage and (C) check — under the campaign's
+    /// budget. A pruning campaign's untestability proofs come first.
+    fn assert_matches_per_fault(
+        c: &Circuit,
+        seq: &TestSequence,
+        faults: &[Fault],
+        options: &CampaignOptions,
+        result: &CampaignResult,
+    ) {
+        let good = simulate(c, seq, None);
+        let cones = ConeCache::new(c);
+        let untestable = moa_analyze::UntestableScreen::new(c, cones.learned_db());
+        let mut counters = Vec::new();
+        for (i, fault) in faults.iter().enumerate() {
+            let proof = options
+                .prune_untestable
+                .then(|| untestable.check(c, fault))
+                .flatten();
+            let expected = if let Some(proof) = proof {
+                FaultStatus::Untestable { proof }
+            } else {
+                let mut meter = BudgetMeter::new(&options.budget);
+                let r = crate::simulate_fault_budgeted(
+                    c,
+                    seq,
+                    &good,
+                    fault,
+                    &options.moa,
+                    None,
+                    &mut meter,
+                );
+                if r.status.is_extra_detected() {
+                    counters.push(r.counters);
+                }
+                r.status
+            };
+            assert_eq!(result.statuses[i], expected, "fault {i}: {fault}");
+        }
+        assert_eq!(result.expansion_counters, counters);
     }
 
     #[test]
@@ -1278,7 +1314,6 @@ mod tests {
             &faults,
             &CampaignOptions {
                 cancel: Some(Arc::new(|| true)),
-                screen: false,
                 fault_hook: Some(Arc::new(|index, _fault: &Fault| {
                     panic!("fault {index} simulated under a tripped cancel probe");
                 })),
@@ -1347,10 +1382,7 @@ mod tests {
     fn audit_sampling_agrees_across_thread_counts() {
         let (c, seq) = toggle();
         let faults = full_fault_list(&c);
-        let audit = CampaignAudit {
-            sample_rate: 3,
-            options: AuditOptions::default(),
-        };
+        let audit = CampaignAudit { sample_rate: 3 };
         let serial = run_campaign(
             &c,
             &seq,
@@ -1409,79 +1441,58 @@ mod tests {
     }
 
     #[test]
-    fn screened_campaign_matches_unscreened() {
+    fn screened_campaign_matches_the_per_fault_procedure() {
         let (c, seq) = toggle();
         let faults = full_fault_list(&c);
-        let screened = run_campaign(&c, &seq, &faults, &CampaignOptions::new());
-        let unscreened = run_campaign(
-            &c,
-            &seq,
-            &faults,
-            &CampaignOptions {
-                screen: false,
-                ..Default::default()
-            },
-        );
-        assert_eq!(screened, unscreened, "screening must not change verdicts");
+        let options = CampaignOptions::new();
+        let screened = run_campaign(&c, &seq, &faults, &options);
+        assert_matches_per_fault(&c, &seq, &faults, &options, &screened);
         assert!(screened.conventional > 0, "the screen had faults to drop");
     }
 
     /// The screen's condition-(C) skips follow
-    /// [`MoaOptions::check_condition_c`]: with the check off the screened
-    /// campaign skips nothing and equals the unscreened one; with the
-    /// default it skips some faults, exactly as the unscreened one does.
+    /// [`MoaOptions::check_condition_c`]: with the check off the campaign
+    /// skips nothing; with the default it skips some faults, exactly those
+    /// the per-fault procedure skips.
     #[test]
     fn screened_condition_c_skips_follow_the_option() {
         let c = moa_circuits::iscas::s27();
         let seq = moa_tpg::random_sequence(&c, 8, 7);
         let faults = full_fault_list(&c);
-        let with_check = |check_condition_c: bool, screen: bool| {
-            let mut options = CampaignOptions {
-                screen,
-                ..Default::default()
-            };
+        for check_condition_c in [false, true] {
+            let mut options = CampaignOptions::new();
             options.moa.check_condition_c = check_condition_c;
-            run_campaign(&c, &seq, &faults, &options)
-        };
-
-        let screened = with_check(false, true);
-        assert_eq!(screened.skipped_condition_c, 0);
-        assert_eq!(screened, with_check(false, false));
-
-        let screened = with_check(true, true);
-        assert!(
-            screened.skipped_condition_c > 0,
-            "the screen had (C) failures to drop"
-        );
-        assert_eq!(screened, with_check(true, false));
+            let screened = run_campaign(&c, &seq, &faults, &options);
+            assert_matches_per_fault(&c, &seq, &faults, &options, &screened);
+            assert_eq!(
+                screened.skipped_condition_c > 0,
+                check_condition_c,
+                "the screen drops (C) failures only under the check"
+            );
+        }
     }
 
+    /// Every detection is audited on the screened and the full per-fault
+    /// path alike, and each audit is counted: the toggle's one flip-flop is
+    /// far under the cap, so every audit confirms.
     #[test]
-    fn screened_audited_campaign_matches_unscreened() {
+    fn screened_audited_campaign_counts_every_audit() {
         let (c, seq) = toggle();
         let faults = full_fault_list(&c);
-        let audit = Some(CampaignAudit::default());
-        let screened = run_campaign(
-            &c,
-            &seq,
-            &faults,
-            &CampaignOptions {
-                audit: audit.clone(),
-                ..Default::default()
-            },
-        );
-        let unscreened = run_campaign(
-            &c,
-            &seq,
-            &faults,
-            &CampaignOptions {
-                screen: false,
-                audit,
-                ..Default::default()
-            },
-        );
+        let options = CampaignOptions {
+            audit: Some(CampaignAudit::default()),
+            ..Default::default()
+        };
+        let screened = run_campaign(&c, &seq, &faults, &options);
         assert_eq!(screened.audit_failed, 0, "screened detections audit clean");
-        assert_eq!(screened, unscreened);
+        assert_matches_per_fault(&c, &seq, &faults, &options, &screened);
+        assert!(screened.conventional > 0 && screened.extra > 0, "both paths ran");
+        let perf = screened.perf;
+        assert_eq!(perf.audits_confirmed, screened.detected_total() as u64, "{perf:?}");
+        assert_eq!((perf.audits_refuted, perf.audits_inconclusive), (0, 0));
+
+        let plain = run_campaign(&c, &seq, &faults, &CampaignOptions::new());
+        assert_eq!(plain.perf.audits_confirmed, 0, "no audit, no count");
     }
 
     #[test]
@@ -1695,7 +1706,7 @@ mod tests {
     }
 
     #[test]
-    fn screened_pruned_full_list_campaign_matches_unscreened() {
+    fn screened_pruned_full_list_campaign_matches_the_per_fault_procedure() {
         // Untestable proofs carry member-specific payload (the constant
         // value, the proof tag) and are decided per fault before the screen,
         // so a class whose members were pruned apart must not leak a shared
@@ -1710,20 +1721,12 @@ mod tests {
         let c = b.finish().unwrap();
         let seq = TestSequence::from_words(&["00", "11", "10"]).unwrap();
         let faults = full_fault_list(&c);
-        let pruned = |screen: bool| {
-            run_campaign(
-                &c,
-                &seq,
-                &faults,
-                &CampaignOptions {
-                    prune_untestable: true,
-                    screen,
-                    ..Default::default()
-                },
-            )
+        let options = CampaignOptions {
+            prune_untestable: true,
+            ..Default::default()
         };
-        let screened = pruned(true);
-        assert_eq!(screened, pruned(false));
+        let screened = run_campaign(&c, &seq, &faults, &options);
+        assert_matches_per_fault(&c, &seq, &faults, &options, &screened);
         assert!(screened.untestable > 0, "the dead cone must be pruned");
         assert!(screened.conventional > 0, "the screen decided some faults");
     }

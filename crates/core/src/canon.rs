@@ -19,7 +19,8 @@
 //! - of the options, only the *verdict-relevant* fields are hashed:
 //!   execution strategy knobs that are proven verdict-identical by the
 //!   parity test suite (thread count, differential vs full-frame
-//!   conventional simulation, screening, fault collapsing) are excluded, so
+//!   conventional simulation, the screen's lane width and thread count) are
+//!   excluded, so
 //!   a cached result can be reused across execution strategies. Defaulted
 //!   and explicitly-spelled-out options serialize identically because
 //!   hashing happens after resolution.
@@ -178,8 +179,8 @@ pub fn canonical_fault_text(circuit: &Circuit, fault: &Fault) -> String {
 }
 
 /// Hashes the verdict-relevant slice of the options. Execution-strategy
-/// fields (threads, screening and its lane width / thread count,
-/// differential) are deliberately absent: the parity test suite locks them
+/// fields (threads, the screen's lane width / thread count, differential)
+/// are deliberately absent: the parity test suite locks them
 /// verdict-identical, so requests differing only in strategy share a cache
 /// entry. Every field is written tagged, fixed-width, in a fixed order — a
 /// request with defaulted fields hashes identically to one spelling the same
@@ -360,7 +361,6 @@ mod tests {
         let mut neutral = CampaignOptions::new();
         neutral.threads = 7;
         neutral.differential = true;
-        neutral.screen = false;
         neutral.screen_lanes = crate::ScreenLanes::L256;
         neutral.screen_threads = 4;
         assert_eq!(base, request_hash(&c, &seq(), &faults, &neutral));

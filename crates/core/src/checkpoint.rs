@@ -59,7 +59,7 @@
 
 use std::collections::HashSet;
 use std::fs;
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::path::Path;
 
 use moa_sim::Detection;
@@ -909,6 +909,35 @@ fn read_checkpoint_impl(
     Ok(CheckpointLoad { slots, skipped })
 }
 
+/// Reads only the header of the v2 file at `path` — its global campaign
+/// identity and its place in the partition — as strictly as [`read_shard`]
+/// does, without reading or decoding any record. A caller that knows which
+/// campaign and shard it expects can refuse a foreign file on this alone.
+pub(crate) fn read_shard_header(path: &Path) -> Result<(CheckpointHeader, ShardInfo), Error> {
+    let read_err = |e: std::io::Error| Error::Checkpoint {
+        path: path.display().to_string(),
+        record: None,
+        message: format!("cannot read shard file: {e}"),
+    };
+    let file = fs::File::open(path).map_err(read_err)?;
+    // The magic and the header length first, then exactly the declared
+    // header and its checksum: reads stop at the end of the file, so a
+    // crafted length costs no more than the file holds.
+    let prefix = MAGIC_V2.len() + 4;
+    let mut bytes = Vec::with_capacity(prefix);
+    let mut reader = file.take(prefix as u64);
+    reader.read_to_end(&mut bytes).map_err(read_err)?;
+    if bytes.len() == prefix && bytes.starts_with(MAGIC_V2) {
+        let mut len = [0u8; 4];
+        len.copy_from_slice(&bytes[MAGIC_V2.len()..]);
+        let rest = u64::from(u32::from_le_bytes(len)) + 4;
+        reader.set_limit(rest);
+        reader.read_to_end(&mut bytes).map_err(read_err)?;
+    }
+    let (header, shard, _) = read_v2_header(path, &bytes)?;
+    Ok((header, shard))
+}
+
 /// Reads a v2 shard file **strictly** for an integrity-verified merge: any
 /// damage — bad checksum anywhere, malformed payload, torn record, missing
 /// or mismatching trailer, duplicate or out-of-range fault index — is a
@@ -1319,7 +1348,7 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("shard-0.ckpt");
         fs::write(&path, OVERSIZED_SHARD_HEADER).unwrap();
-        let (header, shard, _) = read_v2_header(&path, OVERSIZED_SHARD_HEADER).unwrap();
+        let (header, shard) = read_shard_header(&path).unwrap();
         assert_eq!((header.circuit.as_str(), header.seq_len), ("s208", 8));
         assert_eq!((shard.shard_count, shard.len), (1, 1 << 40));
         match read_shard(&path) {
@@ -1388,6 +1417,7 @@ mod tests {
         assert!(loaded.skipped.is_empty());
 
         let file = read_shard(&path).unwrap();
+        assert_eq!(read_shard_header(&path).unwrap(), (file.header.clone(), file.shard));
         assert_eq!(file.header.total_faults, 12, "header keeps the global identity");
         assert_eq!(file.shard, info);
         let indices: Vec<u64> = file.records.iter().map(|(i, _)| *i).collect();

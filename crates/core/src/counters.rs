@@ -82,7 +82,7 @@ pub struct PerfCounters {
     /// (64–256 lanes, possibly multi-threaded), which also decides condition
     /// (C), plus the scalar/differential faulty-trace simulation of each
     /// fault that survives it undetected and passes (C) — or of every
-    /// undetected fault when the (C) check is off or screening is disabled.
+    /// undetected fault when the (C) check is off.
     pub screen_nanos: u64,
     /// Section 3.1 collection sweeps (includes the implication-engine time
     /// below).
@@ -105,6 +105,15 @@ pub struct PerfCounters {
     /// Shard attempts retried by the supervisor of a sharded campaign
     /// ([`run_sharded`](crate::run_sharded)); zero for unsharded runs.
     pub shard_retries: u64,
+    /// Certificate audits ([`CampaignOptions::audit`](crate::CampaignOptions::audit))
+    /// that confirmed their detection by exhaustive replay.
+    pub audits_confirmed: u64,
+    /// Certificate audits that refuted their detection (each one a
+    /// [`FaultStatus::AuditFailed`](crate::FaultStatus::AuditFailed)).
+    pub audits_refuted: u64,
+    /// Certificate audits that could neither confirm nor refute: the
+    /// circuit has more than 14 flip-flops, or the sequence has `X` inputs.
+    pub audits_inconclusive: u64,
 }
 
 impl PerfCounters {
@@ -125,6 +134,9 @@ impl AddAssign for PerfCounters {
         self.learned_hits += rhs.learned_hits;
         self.max_frontier = self.max_frontier.max(rhs.max_frontier);
         self.shard_retries += rhs.shard_retries;
+        self.audits_confirmed += rhs.audits_confirmed;
+        self.audits_refuted += rhs.audits_refuted;
+        self.audits_inconclusive += rhs.audits_inconclusive;
     }
 }
 
@@ -149,6 +161,13 @@ impl fmt::Display for PerfCounters {
         }
         if self.shard_retries > 0 {
             write!(f, " shard retries={}", self.shard_retries)?;
+        }
+        if self.audits_confirmed + self.audits_refuted + self.audits_inconclusive > 0 {
+            write!(
+                f,
+                " audits confirmed={} refuted={} inconclusive={}",
+                self.audits_confirmed, self.audits_refuted, self.audits_inconclusive
+            )?;
         }
         Ok(())
     }
@@ -265,6 +284,9 @@ mod tests {
             learned_hits: 6,
             max_frontier: 16,
             shard_retries: 3,
+            audits_confirmed: 7,
+            audits_refuted: 1,
+            audits_inconclusive: 2,
         };
         p += p;
         assert_eq!(p.gate_evals, 10);
@@ -276,9 +298,13 @@ mod tests {
         assert!(p.to_string().contains("learned hits=12"));
         assert!(p.to_string().contains("max frontier=16"));
         assert!(p.to_string().contains("shard retries=6"));
+        assert!(p
+            .to_string()
+            .contains("audits confirmed=14 refuted=2 inconclusive=4"));
         assert!(!PerfCounters::new().to_string().contains("learned"));
         assert!(!PerfCounters::new().to_string().contains("frontier"));
         assert!(!PerfCounters::new().to_string().contains("shard"));
+        assert!(!PerfCounters::new().to_string().contains("audits"));
     }
 
     #[test]

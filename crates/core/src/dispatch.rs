@@ -1,7 +1,7 @@
 //! The shard lease table: the one supervisor of sharded work.
 //!
 //! Every sharded run partitions its fault list exactly as
-//! [`partition`](crate::partition) does, and this module supervises the
+//! [`partition`] does, and this module supervises the
 //! shards — whether they run in remote `moa work` processes or on the
 //! calling thread ([`run_sharded`](crate::run_sharded), the daemon without
 //! `--dispatch`). Delivery is **at-least-once** and merges are
@@ -22,8 +22,8 @@
 //!   that keeps failing is *quarantined* with a structured reason —
 //!   reported, never dropped — and the job attempt fails, feeding the
 //!   daemon's job-level poison ladder.
-//! - **First valid result wins.** A completion is validated (strict
-//!   [`read_shard`], header and geometry match) *before* it is accepted,
+//! - **First valid result wins.** A completion is validated (header and
+//!   geometry match, then strict [`read_shard`]) *before* it is accepted,
 //!   then published atomically to the canonical shard path. A late
 //!   completion from a worker whose lease was re-dispatched is discarded
 //!   idempotently as a [`Completion::Duplicate`]; the merge gate
@@ -45,7 +45,7 @@ use moa_sim::TestSequence;
 
 use crate::campaign::{panic_message, CampaignOptions};
 use crate::canon::CanonHash;
-use crate::checkpoint::{read_shard, CheckpointHeader};
+use crate::checkpoint::{read_shard, read_shard_header, CheckpointHeader};
 use crate::error::Error;
 use crate::shard::{partition, run_shard, shard_info, shard_path, ShardFailure};
 
@@ -453,7 +453,7 @@ impl Dispatcher {
     }
 
     /// Accepts a finished shard file from `worker`: the bytes are staged in
-    /// a per-worker temp file and [published](Self::publish) from there.
+    /// a per-worker temp file and published from there once valid.
     pub fn complete(
         &self,
         worker: &str,
@@ -479,8 +479,8 @@ impl Dispatcher {
         outcome
     }
 
-    /// Strictly validates the shard file at `file` ([`read_shard`] plus
-    /// header/geometry checks) and only then renames it atomically onto the
+    /// Strictly validates the shard file at `file` (header/geometry checks,
+    /// then [`read_shard`]) and only then renames it atomically onto the
     /// canonical shard path — the first valid result wins, later ones are
     /// [`Completion::Duplicate`]s. A file that is not published stays where
     /// it is.
@@ -862,33 +862,36 @@ fn validate_worker_id(worker: &str) -> Result<(), Error> {
 }
 
 /// Strictly validates an uploaded shard file against the job's identity and
-/// the shard's place in the partition. Returns the rejection reason.
+/// the shard's place in the partition. Returns the rejection reason. The
+/// header is compared first: records are decoded only for an upload that
+/// names this job's campaign and shard.
 fn validate_shard_upload(
     path: &Path,
     header: &CheckpointHeader,
     shards: usize,
     shard: usize,
 ) -> Result<(), String> {
-    let file = read_shard(path).map_err(|e| format!("upload failed strict validation: {e}"))?;
-    if file.header != *header {
+    let strict = |e: Error| format!("upload failed strict validation: {e}");
+    let (found, geometry) = read_shard_header(path).map_err(strict)?;
+    if found != *header {
         return Err(format!(
             "upload is for a different campaign (circuit `{}`, {} faults, seq {}; \
              expected circuit `{}`, {} faults, seq {})",
-            file.header.circuit,
-            file.header.total_faults,
-            file.header.seq_len,
+            found.circuit,
+            found.total_faults,
+            found.seq_len,
             header.circuit,
             header.total_faults,
             header.seq_len
         ));
     }
     let want = shard_info(header.total_faults, shards, shard);
-    if file.shard != want {
+    if geometry != want {
         return Err(format!(
-            "upload's shard geometry {:?} does not match the assignment {want:?}",
-            file.shard
+            "upload's shard geometry {geometry:?} does not match the assignment {want:?}"
         ));
     }
+    let file = read_shard(path).map_err(strict)?;
     if file.records.len() as u64 != want.len {
         return Err(format!(
             "upload has {} of {} record(s): the shard is incomplete",
@@ -1296,7 +1299,10 @@ mod tests {
         let bytes = crate::checkpoint::OVERSIZED_SHARD_HEADER;
         match d.complete("w", hash, a.shard, bytes).expect("complete") {
             Completion::Rejected { reason } => {
-                assert!(reason.contains("missing end-of-shard trailer"), "{reason}");
+                // The header names s208 with 2^40 faults: refused on the
+                // header alone, before any record is read.
+                assert!(reason.contains("different campaign"), "{reason}");
+                assert!(reason.contains("1099511627776 faults"), "{reason}");
             }
             other => panic!("the crafted upload must be rejected: {other:?}"),
         }
@@ -1315,6 +1321,26 @@ mod tests {
         for p in [dir, scratch] {
             let _ = std::fs::remove_dir_all(&p);
         }
+    }
+
+    /// An upload whose valid header names another campaign is refused for
+    /// that, on the header alone: the bytes after it, which are not a
+    /// record stream, are never decoded.
+    #[test]
+    fn foreign_header_upload_is_rejected_before_its_body_is_read() {
+        let (d, hash, dir) = dispatcher("foreign", 1, quick());
+        let a = assignment(d.lease("w").expect("lease"));
+        // A valid header for an s208 campaign, then garbage.
+        let mut bytes = crate::checkpoint::OVERSIZED_SHARD_HEADER.to_vec();
+        bytes.extend_from_slice(b"\xffnot a record stream");
+        match d.complete("w", hash, a.shard, &bytes).expect("complete") {
+            Completion::Rejected { reason } => {
+                assert!(reason.contains("different campaign (circuit `s208`"), "{reason}");
+            }
+            other => panic!("the foreign upload must be rejected: {other:?}"),
+        }
+        assert_eq!(d.stats().expect("stats").completed, 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Daemon-restart adoption: a canonical shard file already on disk is

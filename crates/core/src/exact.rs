@@ -13,7 +13,7 @@
 use moa_netlist::{Circuit, Fault};
 use moa_sim::{packed_next_state, packed_outputs, run_packed_frame, SimTrace, TestSequence};
 
-use crate::audit::{audit_certificate, AuditOptions, AuditStatus};
+use crate::audit::{audit_certificate, initial_state_batches, AuditStatus};
 use crate::certificate::DetectionCertificate;
 
 /// The exact verdict.
@@ -84,24 +84,7 @@ pub fn exact_moa_check(
         .map(|p| p.iter().map(|v| v.to_bool().expect("binary")).collect())
         .collect();
 
-    let total: u64 = 1u64 << k;
-    let mut base = 0u64;
-    while base < total {
-        let batch = (total - base).min(64) as u32;
-        let valid: u64 = if batch == 64 { u64::MAX } else { (1u64 << batch) - 1 };
-        // Slot s encodes initial state index base + s.
-        let mut state: Vec<u64> = (0..k)
-            .map(|i| {
-                let mut word = 0u64;
-                for s in 0..u64::from(batch) {
-                    if (base + s) >> i & 1 == 1 {
-                        word |= 1 << s;
-                    }
-                }
-                word
-            })
-            .collect();
-
+    for (base, valid, mut state) in initial_state_batches(k) {
         let mut mismatched = 0u64;
         for (u, pattern) in patterns.iter().enumerate() {
             let frame = run_packed_frame(circuit, pattern, &state, Some(fault));
@@ -123,7 +106,6 @@ pub fn exact_moa_check(
             let surviving_state = (0..k).map(|i| index >> i & 1 == 1).collect();
             return Some(ExactOutcome::NotDetected { surviving_state });
         }
-        base += 64;
     }
     Some(ExactOutcome::Detected)
 }
@@ -164,11 +146,10 @@ pub fn certificate_cross_check(
     good: &SimTrace,
     fault: &Fault,
     certificate: &DetectionCertificate,
-    audit_options: &AuditOptions,
     max_flip_flops: usize,
 ) -> CertificateCrossCheck {
     CertificateCrossCheck {
-        audit: audit_certificate(circuit, seq, good, fault, certificate, audit_options),
+        audit: audit_certificate(circuit, seq, good, fault, certificate),
         exact: exact_moa_check(circuit, seq, good, fault, max_flip_flops),
     }
 }
@@ -263,7 +244,6 @@ mod tests {
             &good,
             &fault,
             &certificate.expect("certificate"),
-            &AuditOptions::default(),
             16,
         );
         assert!(check.audit.is_confirmed());
@@ -288,8 +268,7 @@ mod tests {
             }],
         };
         // max_flip_flops = 0 disables the exact check.
-        let check =
-            certificate_cross_check(&c, &seq, &good, &fault, &cert, &AuditOptions::default(), 0);
+        let check = certificate_cross_check(&c, &seq, &good, &fault, &cert, 0);
         assert_eq!(check.exact, None);
         assert!(check.consistent());
     }

@@ -143,7 +143,7 @@ pub mod shard;
 pub mod spool;
 mod stateseq;
 
-pub use audit::{audit_certificate, AuditOptions, AuditStatus};
+pub use audit::{audit_certificate, AuditStatus};
 pub use budget::{BudgetMeter, BudgetStage, FaultBudget};
 pub use campaign::{
     run_campaign, try_run_campaign, CampaignAudit, CampaignOptions, CampaignResult, CancelFlag,

@@ -137,17 +137,6 @@ impl std::fmt::Display for DegradeStage {
     }
 }
 
-impl std::str::FromStr for DegradeStage {
-    type Err = ();
-    fn from_str(s: &str) -> Result<Self, ()> {
-        match s {
-            "expansion-only" => Ok(DegradeStage::ExpansionOnly),
-            "conventional" => Ok(DegradeStage::Conventional),
-            _ => Err(()),
-        }
-    }
-}
-
 /// The sound detection lower bound carried by a
 /// [`FaultStatus::PartialVerdict`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -812,7 +801,7 @@ mod tests {
 
     #[test]
     fn certified_run_matches_uncertified_and_audits_clean() {
-        use crate::audit::{audit_certificate, AuditOptions};
+        use crate::audit::audit_certificate;
         use crate::certificate::CertificateSource;
         let (c, seq, good) = toggle();
         for (net, stuck, expect_source) in [
@@ -834,14 +823,7 @@ mod tests {
             assert_eq!(plain, certified, "certification must not change results");
             let certificate = certificate.expect("detected fault emits a certificate");
             assert_eq!(certificate.source, expect_source);
-            let status = audit_certificate(
-                &c,
-                &seq,
-                &good,
-                &fault,
-                &certificate,
-                &AuditOptions::default(),
-            );
+            let status = audit_certificate(&c, &seq, &good, &fault, &certificate);
             assert!(status.is_confirmed(), "{net} stuck-at-{stuck}: {status:?}");
         }
     }

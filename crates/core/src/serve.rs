@@ -69,8 +69,6 @@ pub struct ServeOptions {
     pub job_attempts: u32,
     /// Shards per job (the fault list is partitioned across these).
     pub shards: usize,
-    /// The hint returned with a [`Submit::Rejected`].
-    pub retry_after_ms: u64,
     /// When set, jobs are not run in-process: their shards are handed to
     /// remote `moa work` processes through the [`Dispatcher`], under this
     /// lease/heartbeat/attempt policy. Without it, shards run on the job
@@ -89,11 +87,14 @@ impl ServeOptions {
             workers: 2,
             job_attempts: 3,
             shards: 2,
-            retry_after_ms: 1000,
             dispatch: None,
         }
     }
 }
+
+/// The retry hint returned with every [`Submit::Rejected`], in
+/// milliseconds.
+const RETRY_AFTER_MS: u64 = 1000;
 
 /// The daemon's answer to one submission.
 #[derive(Debug)]
@@ -128,7 +129,7 @@ pub enum Submit {
     /// Backpressure: the admission queue is full (or the daemon is
     /// draining). Try again after the hint.
     Rejected {
-        /// Client retry hint, milliseconds.
+        /// Client retry hint in milliseconds: always 1000.
         retry_after_ms: u64,
         /// Human-readable cause (`queue full (16 jobs)`, `draining`).
         reason: String,
@@ -389,14 +390,14 @@ impl Server {
         }
         if inner.draining {
             return Ok(Submit::Rejected {
-                retry_after_ms: self.shared.options.retry_after_ms,
+                retry_after_ms: RETRY_AFTER_MS,
                 reason: "draining".into(),
             });
         }
         let load = inner.queue.len() + inner.running.len();
         if load >= self.shared.options.queue_depth {
             return Ok(Submit::Rejected {
-                retry_after_ms: self.shared.options.retry_after_ms,
+                retry_after_ms: RETRY_AFTER_MS,
                 reason: format!(
                     "queue full ({load} of {} jobs)",
                     self.shared.options.queue_depth

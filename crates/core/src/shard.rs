@@ -3,9 +3,9 @@
 //! A fault-simulation campaign is embarrassingly partitionable — every
 //! per-fault verdict is self-contained — so a large fault list can be split
 //! into contiguous *shards*, each run as an independent campaign writing a
-//! format-v2 checkpoint file ([`crate::checkpoint`]), and the shard files
-//! merged back into one [`CampaignResult`] that is bit-identical to the
-//! unsharded run (locked in by tests).
+//! format-v2 checkpoint file (as [`write_checkpoint_v2`](crate::write_checkpoint_v2)
+//! writes them), and the shard files merged back into one [`CampaignResult`]
+//! that is bit-identical to the unsharded run (locked in by tests).
 //!
 //! Four layers, usable separately:
 //!
@@ -18,11 +18,11 @@
 //!   (deleted and re-run from scratch) rather than fatal.
 //! - [`run_sharded`] — every shard on the calling thread, supervised by the
 //!   same lease table that hands shards to remote workers
-//!   ([`Dispatcher`](crate::Dispatcher)): bounded retries with exponential
-//!   backoff, and quarantine of shards that keep failing (reported in
+//!   ([`crate::Dispatcher`]): bounded retries with exponential backoff, and
+//!   quarantine of shards that keep failing (reported in
 //!   [`ShardRun::quarantined`], never silently dropped).
 //! - [`merge_shards`] — the integrity-verified merge: every record is
-//!   checksum-validated ([`read_shard`](crate::checkpoint) is strict),
+//!   checksum-validated ([`read_shard`] is strict),
 //!   shard geometry must tile the fault list exactly (no missing, duplicate
 //!   or overlapping fault indices), and — when the campaign runs in audit
 //!   mode — merged detections are re-validated by certificate replay, so a
@@ -113,22 +113,22 @@ pub struct ShardOptions {
     /// Directory for the shard files (created if missing).
     pub dir: PathBuf,
     /// Retries after the first failed attempt before the shard is
-    /// quarantined (so a shard gets `retries + 1` attempts in total).
+    /// quarantined (so a shard gets `retries + 1` attempts in total). Retry
+    /// `n` first waits `10 ms * 2^(n-1)`.
     pub retries: usize,
-    /// Base delay before the first retry; attempt `n`'s delay is
-    /// `backoff * 2^(n-1)`, capped by the doubling count.
-    pub backoff: Duration,
 }
 
+/// The base delay before [`run_sharded`] retries a failed shard; attempt
+/// `n`'s delay is `RETRY_BACKOFF * 2^(n-1)`, capped by the doubling count.
+const RETRY_BACKOFF: Duration = Duration::from_millis(10);
+
 impl ShardOptions {
-    /// `shards` shards in `dir` with the default policy: 5 retries, 10 ms
-    /// base backoff.
+    /// `shards` shards in `dir` with the default policy: 5 retries.
     pub fn new(shards: usize, dir: impl Into<PathBuf>) -> Self {
         ShardOptions {
             shards,
             dir: dir.into(),
             retries: 5,
-            backoff: Duration::from_millis(10),
         }
     }
 }
@@ -230,7 +230,7 @@ pub fn run_sharded(
 ) -> Result<ShardRun, Error> {
     let policy = DispatchOptions {
         attempts: u32::try_from(options.retries.saturating_add(1)).unwrap_or(u32::MAX),
-        backoff: options.backoff,
+        backoff: RETRY_BACKOFF,
         ..DispatchOptions::default()
     };
     let dispatcher = Dispatcher::new(options.shards, policy)?;
@@ -448,7 +448,7 @@ fn replay_audits(
         // replay; contain a panic as a (retryable) merge error instead of
         // taking the merge down.
         let replay = catch_unwind(AssertUnwindSafe(|| {
-            replay_one(circuit, seq, &good, &faults[index], moa, audit, &result.status)
+            replay_one(circuit, seq, &good, &faults[index], moa, &result.status)
         }));
         let verdict = match replay {
             Ok(verdict) => verdict,
@@ -487,13 +487,12 @@ fn replay_one(
     good: &SimTrace,
     fault: &Fault,
     moa: &MoaOptions,
-    audit: &CampaignAudit,
     status: &FaultStatus,
 ) -> Replay {
     let check = |certificate: Option<&DetectionCertificate>| match certificate {
         None => Replay::Refuted("re-simulation produced no certificate".into()),
         Some(cert) => {
-            match audit_certificate(circuit, seq, good, fault, cert, &audit.options) {
+            match audit_certificate(circuit, seq, good, fault, cert) {
                 AuditStatus::Refuted { reason } => Replay::Refuted(reason),
                 // Confirmed, or inconclusive (audit cap): same policy as the
                 // in-campaign audit — only a refutation is damning.
@@ -890,7 +889,6 @@ mod tests {
         );
         let options = ShardOptions {
             retries: 1,
-            backoff: Duration::from_millis(1),
             ..ShardOptions::new(2, &dir)
         };
         let run = run_sharded(&c, &seq, &faults, &CampaignOptions::new(), &options)

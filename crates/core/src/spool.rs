@@ -153,7 +153,6 @@ impl JobSpec {
         out.push_str(&format!("opt degrade {}\n", m.degrade));
         out.push_str(&format!("opt threads {}\n", o.threads));
         out.push_str(&format!("opt differential {}\n", o.differential));
-        out.push_str(&format!("opt screen {}\n", o.screen));
         out.push_str(&format!("opt prune_untestable {}\n", o.prune_untestable));
         out.push_str(&format!("opt isolate_panics {}\n", o.isolate_panics));
         out.push_str(&format!("opt checkpoint_every {}\n", o.checkpoint_every));
@@ -255,7 +254,7 @@ fn apply_option(options: &mut CampaignOptions, key: &str, value: &str) -> Result
         // Retired execution switches: specs written before their removal
         // still carry the lines. None entered the request hash, so each is
         // validated and dropped.
-        "cone_bounded" | "packed_resimulation" | "collapse" => {
+        "cone_bounded" | "packed_resimulation" | "collapse" | "screen" => {
             flag(key, value)?;
         }
         "static_learning" => m.static_learning = flag(key, value)?,
@@ -273,7 +272,6 @@ fn apply_option(options: &mut CampaignOptions, key: &str, value: &str) -> Result
         }
         "threads" => options.threads = num(key, value)?,
         "differential" => options.differential = flag(key, value)?,
-        "screen" => options.screen = flag(key, value)?,
         "prune_untestable" => options.prune_untestable = flag(key, value)?,
         // Retired fault-order schedule: it never moved a verdict or entered
         // the request hash, so a known name is validated and dropped.
@@ -300,7 +298,6 @@ fn apply_option(options: &mut CampaignOptions, key: &str, value: &str) -> Result
         "audit_sample_rate" => {
             options.audit = Some(CampaignAudit {
                 sample_rate: num(key, value)?.max(1),
-                ..CampaignAudit::default()
             });
         }
         _ => return Err(format!("unknown option key `{key}`")),
@@ -663,7 +660,8 @@ mod tests {
     fn spec_with_retired_engine_switches_parses_to_the_same_hash() {
         // A spec exactly as written before `cone_bounded` was retired, with
         // both execution-only engine switches flipped from their defaults.
-        // `packed_resimulation` and `collapse` have been retired since.
+        // `packed_resimulation`, `collapse` and `screen` have been retired
+        // since.
         let text = concat!(
             "moa-job-spec v1\n",
             "bench 69\n",
@@ -703,10 +701,16 @@ mod tests {
         assert_eq!(collapsed.hash(), parsed.hash(), "collapse never entered the hash");
         let without = JobSpec::parse(&text.replace("opt collapse false\n", "")).expect("parses");
         assert_eq!(without.hash(), parsed.hash());
+        let unscreened = JobSpec::parse(&text.replace("opt screen true", "opt screen false"))
+            .expect("a spec asking for the scalar conventional stage still parses");
+        assert_eq!(unscreened.hash(), parsed.hash(), "screen never entered the hash");
+        let without = JobSpec::parse(&text.replace("opt screen true\n", "")).expect("parses");
+        assert_eq!(without.hash(), parsed.hash());
         for (line, damaged) in [
             ("opt cone_bounded false", "opt cone_bounded maybe"),
             ("opt packed_resimulation true", "opt packed_resimulation maybe"),
             ("opt collapse false", "opt collapse maybe"),
+            ("opt screen true", "opt screen maybe"),
         ] {
             let key = line.split(' ').nth(1).unwrap();
             assert!(!parsed.to_text().contains(key), "{key} is not written back");
@@ -721,7 +725,8 @@ mod tests {
     fn spec_with_retired_worker_retries_line_parses_to_the_same_hash() {
         // The default spec exactly as written before the worker-respawn
         // budget was retired. Its `order`, `degrade_adaptive`,
-        // `packed_resimulation` and `collapse` lines have been retired since.
+        // `packed_resimulation`, `collapse` and `screen` lines have been
+        // retired since.
         let text = concat!(
             "moa-job-spec v1\n",
             "bench 69\n",
@@ -761,7 +766,8 @@ mod tests {
                 .replace("opt degrade_adaptive false\n", "")
                 .replace("opt order natural\n", "")
                 .replace("opt packed_resimulation false\n", "")
-                .replace("opt collapse false\n", ""),
+                .replace("opt collapse false\n", "")
+                .replace("opt screen true\n", ""),
             "only the retired lines are dropped on write-back"
         );
         let with = |from: &str, to: &str| JobSpec::parse(&text.replace(from, to));

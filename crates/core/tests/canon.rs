@@ -112,7 +112,6 @@ proptest! {
         seed in 0u64..1000,
         threads in 1usize..9,
         differential in any::<bool>(),
-        screen in any::<bool>(),
     ) {
         let c = circuit(seed);
         let seq = random_sequence(&c, 4, seed);
@@ -121,7 +120,6 @@ proptest! {
         let mut tweaked = CampaignOptions::new();
         tweaked.threads = threads;
         tweaked.differential = differential;
-        tweaked.screen = screen;
         prop_assert_eq!(base, request_hash(&c, &seq, &faults, &tweaked));
     }
 

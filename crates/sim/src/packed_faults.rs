@@ -1,12 +1,11 @@
 //! Parallel-fault screening: one *distinct* fault per bit lane.
 //!
-//! [`packed3`](crate::packed3) injects a single fault into all slots of a
-//! word (many scenarios, one faulty machine). This module is the transpose:
-//! each bit lane carries a *different* faulty machine under the *same* input
-//! sequence and the same all-`X` initial state, so one pass over the sequence
-//! conventionally screens a whole word of faults at the cost of roughly one
-//! scalar simulation. The campaign uses it as a pre-pass that detects and
-//! drops faults in batches before the expensive per-fault MOA procedure runs.
+//! Each bit lane of a dual-rail word ([`PackedV3`]) carries a *different*
+//! faulty machine under the *same* input sequence and the same all-`X`
+//! initial state, so one pass over the sequence conventionally screens a
+//! whole word of faults at the cost of roughly one scalar simulation. The
+//! campaign uses it as a pre-pass that detects and drops faults in batches
+//! before the expensive per-fault MOA procedure runs.
 //! The same pass also decides the paper's necessary condition (C) for every
 //! fault it leaves undetected ([`ScreenOutcome::condition_c`]), so the
 //! campaign drops the (C) failures too and builds a per-fault scalar trace
@@ -260,10 +259,9 @@ impl<W: Word> FaultBatch<W> {
     /// caller-owned scratch frame (reset here — callers only provide the
     /// allocation).
     ///
-    /// Mirrors [`run_packed3_frame`](crate::run_packed3_frame) /
-    /// [`compute_frame`](crate::compute_frame): primary inputs are broadcast
-    /// from `pattern`, present state comes from `present_state` per lane, and
-    /// every net write passes through that net's stem mask.
+    /// Mirrors [`compute_frame`](crate::compute_frame): primary inputs are
+    /// broadcast from `pattern`, present state comes from `present_state` per
+    /// lane, and every net write passes through that net's stem mask.
     ///
     /// # Panics
     ///
@@ -310,23 +308,23 @@ impl<W: Word> FaultBatch<W> {
             match gate.kind() {
                 GateKind::And | GateKind::Nand => {
                     for i in 1..n {
-                        out = out.and(pin(i));
+                        out = out & pin(i);
                     }
                 }
                 GateKind::Or | GateKind::Nor => {
                     for i in 1..n {
-                        out = out.or(pin(i));
+                        out = out | pin(i);
                     }
                 }
                 GateKind::Xor | GateKind::Xnor => {
                     for i in 1..n {
-                        out = out.xor(pin(i));
+                        out = out ^ pin(i);
                     }
                 }
                 GateKind::Not | GateKind::Buf => {}
             }
             if gate.kind().inverting() {
-                out = out.not();
+                out = !out;
             }
             values.set(
                 gate.output(),

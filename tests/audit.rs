@@ -7,8 +7,8 @@ use moa_repro::circuits::iscas::s27;
 use moa_repro::circuits::suite::suite;
 use moa_repro::circuits::teaching::resettable_toggle;
 use moa_repro::core::{
-    certificate_cross_check, run_campaign, simulate_fault_certified, AuditOptions, BudgetMeter,
-    CampaignAudit, CampaignOptions, MoaOptions,
+    certificate_cross_check, run_campaign, simulate_fault_certified, BudgetMeter, CampaignAudit,
+    CampaignOptions, MoaOptions,
 };
 use moa_repro::netlist::{collapse_faults, full_fault_list};
 use moa_repro::sim::simulate;
@@ -59,15 +59,7 @@ fn audited_detections_are_subset_of_exact_on_s27() {
             continue;
         }
         let certificate = certificate.expect("every detection carries a certificate");
-        let check = certificate_cross_check(
-            &c,
-            &seq,
-            &good,
-            fault,
-            &certificate,
-            &AuditOptions::default(),
-            8,
-        );
+        let check = certificate_cross_check(&c, &seq, &good, fault, &certificate, 8);
         // s27 has 3 flip-flops: both the audit and the exact checker run to
         // completion, so confirmation implies an exact detection.
         assert!(
@@ -105,8 +97,8 @@ fn toggle_audited_campaign_is_clean() {
 
 #[test]
 fn small_suite_circuits_audit_clean() {
-    // The suite entries small enough for exhaustive replay under the default
-    // 2^14 cap; the CI audit-smoke job covers the rest via `moa suite
+    // The suite entries small enough for exhaustive replay under the audit's
+    // 2^14-state cap; the CI audit-smoke job covers the rest via `moa suite
     // --audit` (over-cap circuits audit as Inconclusive, never as failed).
     for e in suite() {
         let circuit = e.build();
@@ -130,6 +122,13 @@ fn small_suite_circuits_audit_clean() {
             audited.audit_failed, 0,
             "{}: {} detections failed their audit",
             e.name, audited.audit_failed
+        );
+        assert_eq!(
+            audited.perf.audits_confirmed,
+            audited.detected_total() as u64,
+            "{}: under the cap every detection is confirmed: {:?}",
+            e.name,
+            audited.perf
         );
     }
 }

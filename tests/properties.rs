@@ -5,8 +5,8 @@ use proptest::prelude::*;
 use moa_repro::circuits::synth::{generate, SynthSpec};
 use moa_repro::core::imply::{FrameContext, ImplyOutcome};
 use moa_repro::core::{
-    audit_certificate, exact_moa_check, simulate_fault_certified, AuditOptions, BudgetMeter,
-    ClaimKind, ExactOutcome, MoaOptions,
+    audit_certificate, exact_moa_check, simulate_fault_certified, BudgetMeter, ClaimKind,
+    ExactOutcome, MoaOptions,
 };
 use moa_repro::logic::V3;
 use moa_repro::netlist::{
@@ -14,9 +14,8 @@ use moa_repro::netlist::{
     write_bench, Circuit, Fault,
 };
 use moa_repro::sim::{
-    compute_frame, conventional_detection, packed3_next_state, packed_next_state,
-    run_packed3_frame, run_packed_frame, simulate, simulate_differential, GoodFrames, Packed3,
-    TestSequence,
+    compute_frame, conventional_detection, packed_next_state, run_packed_frame, simulate,
+    simulate_differential, GoodFrames, PackedV3, TestSequence, Word,
 };
 use moa_repro::tpg::random_sequence;
 
@@ -197,48 +196,34 @@ proptest! {
         }
     }
 
-    /// The dual-rail packed simulator agrees with the scalar three-valued
-    /// simulator slot by slot, for random circuits, random mixed-ternary
-    /// states and random faults.
+    /// The dual-rail gate algebra the screen composes its frames from agrees
+    /// with the scalar three-valued operators slot by slot: AND, OR, XOR and
+    /// NOT over random mixed-ternary operands, at 64 and 256 lanes.
     #[test]
     fn packed3_agrees_with_scalar(
-        spec in arb_spec(),
-        state_trits in proptest::collection::vec(0u8..3, 64),
-        fault_choice in any::<u32>(),
-        stuck in any::<bool>(),
+        a_trits in proptest::collection::vec(0u8..3, 256),
+        b_trits in proptest::collection::vec(0u8..3, 256),
     ) {
-        let c = generate(&spec);
-        let k = c.num_flip_flops();
-        let pattern = arb_pattern(&c);
-        let vals = [V3::Zero, V3::One, V3::X];
-        // Pack 16 scenarios, each state trit drawn from the pool.
-        let slots = 16u32;
-        let states: Vec<Vec<V3>> = (0..slots as usize)
-            .map(|s| (0..k).map(|i| vals[state_trits[(s * 7 + i * 3) % 64] as usize]).collect())
-            .collect();
-        let packed_state: Vec<Packed3> = (0..k)
-            .map(|i| {
-                let mut p = Packed3::ALL_X;
-                for (s, st) in states.iter().enumerate() {
-                    p.set(s as u32, st[i]);
-                }
-                p
-            })
-            .collect();
-        let net = moa_repro::netlist::NetId::new((fault_choice as usize) % c.num_nets());
-        let fault = Fault::stem(net, stuck);
-        let frame = run_packed3_frame(&c, &pattern, &packed_state, Some(&fault));
-        let next = packed3_next_state(&c, &frame, Some(&fault));
-        for (s, st) in states.iter().enumerate() {
-            let scalar = compute_frame(&c, &pattern, st, Some(&fault));
-            for net in c.net_ids() {
-                prop_assert_eq!(frame.get(net).get(s as u32), scalar[net], "net {} slot {}", c.net_name(net), s);
+        fn check<W: Word>(a_trits: &[u8], b_trits: &[u8]) {
+            let vals = [V3::Zero, V3::One, V3::X];
+            let mut a: PackedV3<W> = PackedV3::ALL_X;
+            let mut b: PackedV3<W> = PackedV3::ALL_X;
+            let lanes = W::LANES as u32;
+            for slot in 0..lanes {
+                a.set(slot, vals[a_trits[slot as usize] as usize]);
+                b.set(slot, vals[b_trits[slot as usize] as usize]);
             }
-            let scalar_next = moa_repro::sim::frame_next_state(&c, &scalar, Some(&fault));
-            for i in 0..k {
-                prop_assert_eq!(next[i].get(s as u32), scalar_next[i]);
+            for slot in 0..lanes {
+                let (x, y) = (a.get(slot), b.get(slot));
+                prop_assert_eq!(x, vals[a_trits[slot as usize] as usize], "set/get slot {}", slot);
+                prop_assert_eq!((a & b).get(slot), x & y, "and slot {}", slot);
+                prop_assert_eq!((a | b).get(slot), x | y, "or slot {}", slot);
+                prop_assert_eq!((a ^ b).get(slot), x ^ y, "xor slot {}", slot);
+                prop_assert_eq!((!a).get(slot), !x, "not slot {}", slot);
             }
         }
+        check::<u64>(&a_trits, &b_trits);
+        check::<[u64; 4]>(&a_trits, &b_trits);
     }
 
     /// A detection certificate that lies about an observation is always
@@ -259,8 +244,7 @@ proptest! {
             );
             prop_assert_eq!(result.status.is_detected(), certificate.is_some());
             let Some(certificate) = certificate else { continue };
-            let options = AuditOptions::default();
-            if !audit_certificate(&c, &seq, &good, fault, &certificate, &options).is_confirmed() {
+            if !audit_certificate(&c, &seq, &good, fault, &certificate).is_confirmed() {
                 continue;
             }
             for (i, claim) in certificate.claims.iter().enumerate() {
@@ -269,7 +253,7 @@ proptest! {
                 };
                 let mut forged = certificate.clone();
                 forged.claims[i].kind = ClaimKind::Observation { time, output, value: !value };
-                let verdict = audit_certificate(&c, &seq, &good, fault, &forged, &options);
+                let verdict = audit_certificate(&c, &seq, &good, fault, &forged);
                 prop_assert!(
                     verdict.is_refuted(),
                     "flipping claim {i} of {fault:?} must refute: {verdict:?}"

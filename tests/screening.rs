@@ -2,11 +2,12 @@
 //!
 //! The packed screen exists purely as an accelerator: for every fault it must
 //! report *exactly* the conventional detection (same time unit, same output)
-//! that a scalar faulty-machine simulation reports, and a campaign with
-//! screening enabled must be indistinguishable — status by status — from one
-//! without it, also on full fault lists, where equivalent faults share one
-//! screen lane. These tests pin both properties across the full embedded
-//! suite, across random circuits, and across checkpoint/resume.
+//! that a scalar faulty-machine simulation reports, and a campaign must be
+//! indistinguishable — status by status — from the per-fault procedure run
+//! fault by fault with its own scalar conventional stage and (C) check, also
+//! on full fault lists, where equivalent faults share one screen lane. These
+//! tests pin both properties across the full embedded suite, across random
+//! circuits, and across checkpoint/resume.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -16,12 +17,14 @@ use proptest::prelude::*;
 use moa_repro::circuits::suite::suite;
 use moa_repro::circuits::synth::{generate, SynthSpec};
 use moa_repro::core::{
-    condition_c_holds, n_out_profile, n_sv_profile, read_checkpoint, run_campaign, CampaignAudit,
-    CampaignOptions, CheckpointHeader,
+    condition_c_holds, n_out_profile, n_sv_profile, read_checkpoint, run_campaign,
+    simulate_fault_budgeted, BudgetMeter, CampaignAudit, CampaignOptions, CheckpointHeader,
+    Counters, FaultStatus,
 };
-use moa_repro::netlist::{collapse_faults, full_fault_list, Fault};
+use moa_repro::netlist::{collapse_faults, full_fault_list, Circuit, Fault};
 use moa_repro::sim::{
     run_conventional, screen_faults, screen_faults_wide, simulate, ScreenLanes, SimTrace,
+    TestSequence,
 };
 use moa_repro::tpg::random_sequence;
 
@@ -31,6 +34,55 @@ fn scalar_condition_c(good: &SimTrace, faulty: &SimTrace) -> bool {
     let n_sv = n_sv_profile(faulty);
     let n_out = n_out_profile(good, faulty);
     condition_c_holds(&n_sv[..n_out.len()], &n_out)
+}
+
+/// What the per-fault procedure, with its own scalar conventional stage and
+/// (C) check, gives each fault under `options`' budget: the statuses in
+/// fault-list order, and the Table-3 counters of the extra-detected faults.
+/// The faults are independent, so the work is split across the machine's
+/// cores.
+fn per_fault_reference(
+    circuit: &Circuit,
+    seq: &TestSequence,
+    faults: &[Fault],
+    options: &CampaignOptions,
+) -> (Vec<FaultStatus>, Vec<Counters>) {
+    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let good = simulate(circuit, seq, None);
+    let good = &good;
+    let results: Vec<_> = std::thread::scope(|scope| {
+        let parts: Vec<_> = faults
+            .chunks(faults.len().div_ceil(threads).max(1))
+            .map(|part| {
+                scope.spawn(move || {
+                    part.iter()
+                        .map(|fault| {
+                            let mut meter = BudgetMeter::new(&options.budget);
+                            simulate_fault_budgeted(
+                                circuit,
+                                seq,
+                                good,
+                                fault,
+                                &options.moa,
+                                None,
+                                &mut meter,
+                            )
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        parts
+            .into_iter()
+            .flat_map(|part| part.join().expect("reference worker"))
+            .collect()
+    });
+    let counters = results
+        .iter()
+        .filter(|r| r.status.is_extra_detected())
+        .map(|r| r.counters)
+        .collect();
+    (results.into_iter().map(|r| r.status).collect(), counters)
 }
 
 /// The headline equivalence: for every representative fault of every
@@ -109,9 +161,9 @@ fn screen_verdicts_are_independent_of_batch_composition() {
     }
 }
 
-/// A screened campaign is status-for-status identical to an unscreened one on
-/// every embedded circuit small enough for a debug-mode MOA campaign; the
-/// bench command asserts the same equality on the full suite in release mode.
+/// A screened campaign is status-for-status identical to the per-fault
+/// procedure on every embedded circuit small enough for a debug-mode MOA
+/// campaign.
 #[test]
 fn screened_campaign_matches_unscreened_across_suite() {
     for e in suite() {
@@ -123,17 +175,12 @@ fn screened_campaign_matches_unscreened_across_suite() {
         let faults = collapse_faults(&circuit, &full_fault_list(&circuit))
             .representatives()
             .to_vec();
-        let screened = run_campaign(&circuit, &seq, &faults, &CampaignOptions::new());
-        let unscreened = run_campaign(
-            &circuit,
-            &seq,
-            &faults,
-            &CampaignOptions {
-                screen: false,
-                ..Default::default()
-            },
-        );
-        assert_eq!(screened, unscreened, "{}", e.name);
+        let options = CampaignOptions::new();
+        let screened = run_campaign(&circuit, &seq, &faults, &options);
+        let (statuses, counters) = per_fault_reference(&circuit, &seq, &faults, &options);
+        assert_eq!(screened.statuses, statuses, "{}", e.name);
+        assert_eq!(screened.expansion_counters, counters, "{}", e.name);
+        assert!(screened.conventional > 0, "{}: the screen decided faults", e.name);
     }
 }
 
@@ -342,22 +389,20 @@ proptest! {
         }
     }
 
-    /// Campaign equality under screening holds on random circuits too, over
-    /// the full fault list: equivalent faults share one screen lane, while
-    /// the unscreened campaign decides each member from its own scalar trace.
+    /// Campaign equality with the per-fault procedure holds on random
+    /// circuits too, over the full fault list: equivalent faults share one
+    /// screen lane, while the reference decides each member from its own
+    /// scalar trace.
     #[test]
     fn screened_campaign_matches_unscreened_on_random_circuits(spec in arb_spec()) {
         let circuit = generate(&spec);
         let seq = random_sequence(&circuit, 24, spec.seed ^ 0x5eed);
         let faults = full_fault_list(&circuit);
-        let screened = run_campaign(&circuit, &seq, &faults, &CampaignOptions::new());
-        let unscreened = run_campaign(
-            &circuit,
-            &seq,
-            &faults,
-            &CampaignOptions { screen: false, ..Default::default() },
-        );
-        prop_assert_eq!(screened, unscreened);
+        let options = CampaignOptions::new();
+        let screened = run_campaign(&circuit, &seq, &faults, &options);
+        let reference = per_fault_reference(&circuit, &seq, &faults, &options);
+        prop_assert_eq!(&screened.statuses, &reference.0);
+        prop_assert_eq!(&screened.expansion_counters, &reference.1);
     }
 
     /// The full execution-knob sweep: on random circuits, a randomly drawn
