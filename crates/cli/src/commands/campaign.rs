@@ -130,12 +130,14 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         faults.len(),
         seq.len()
     )?;
-    if let Some(a) = &audit {
-        writeln!(
+    match (&audit, shard_id) {
+        (Some(_), Some(_)) => writeln!(out, "a shard does not audit: the audit runs at --merge")?,
+        (Some(a), None) => writeln!(
             out,
             "auditing detections by certificate replay (sample rate {})",
             a.sample_rate
-        )?;
+        )?,
+        (None, _) => {}
     }
 
     let run_baseline = parser.switch("baseline") || parser.switch("both") || !parser.switch("proposed");
@@ -768,6 +770,41 @@ mod tests {
         let text = String::from_utf8(sharded).unwrap();
         assert!(text.contains("supervised 3 shard(s)"), "{text}");
         assert!(text.contains("re-audited"), "{text}");
+        // The merge audits the sample the unsharded run audits.
+        let audits = |text: &str| {
+            let perf = text.lines().find(|l| l.contains("perf")).expect("a perf line");
+            perf.split_once("audits ").map(|(_, counts)| counts.to_owned())
+        };
+        let plain = String::from_utf8(plain).unwrap();
+        assert!(audits(&plain).is_some(), "{plain}");
+        assert_eq!(audits(&plain), audits(&text));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_shard_leaves_the_audit_to_the_merge() {
+        let dir = shard_dir("shard-audit");
+        let mut out = Vec::new();
+        run(
+            &[
+                toggle_path(),
+                "--words".into(),
+                "0,0,0".into(),
+                "--proposed".into(),
+                "--audit".into(),
+                "--shards".into(),
+                "2".into(),
+                "--shard-dir".into(),
+                dir.to_string_lossy().into_owned(),
+                "--shard-id".into(),
+                "0".into(),
+            ],
+            &mut out,
+        )
+        .unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert!(text.contains("a shard does not audit: the audit runs at --merge"), "{text}");
+        assert!(!text.contains("audits confirmed"), "{text}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

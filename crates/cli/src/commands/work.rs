@@ -7,7 +7,8 @@
 //! the daemon's in-process shards use, and streams the finished checkpoint-v2
 //! shard file back content-addressed by the job's canonical hash. Everything
 //! that makes the system exactly-once — leases, attempt budgets, strict
-//! upload validation, the tiling audit at merge — lives in the daemon.
+//! upload validation, the tiling check at merge — lives in the daemon, and
+//! so does the certificate audit of an audited job: a worker never audits.
 //!
 //! An idle worker holds one `lease` request open: the daemon answers it as
 //! soon as a shard becomes grantable (or drain starts), and with `idle`

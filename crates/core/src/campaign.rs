@@ -20,7 +20,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 use moa_netlist::{collapse_faults, Circuit, Fault};
@@ -131,7 +131,10 @@ pub struct CampaignOptions {
     /// Audit detections by concrete certificate replay and quarantine any
     /// refuted detection as [`FaultStatus::AuditFailed`]. `None` (the
     /// default) trusts the symbolic engine. Resumed faults keep their
-    /// checkpointed status and are not re-audited.
+    /// checkpointed status and are not re-audited. Shards
+    /// ([`run_shard`](crate::run_shard)) ignore it: the merge
+    /// ([`merge_shards`](crate::merge_shards)) re-runs the same sample
+    /// through this audit and quarantines the same way.
     pub audit: Option<CampaignAudit>,
     /// This campaign's place in a sharded partition ([`crate::shard`]).
     /// When set, the fault list is one shard's slice: checkpoints carry the
@@ -824,16 +827,19 @@ fn run_batch(
     // not hit the worker failpoints: it is the last-resort guarantee. The
     // cursor only hands out positions (each claimed once); results reach
     // the coordinating thread through the cells and the joins, so `Relaxed`
-    // suffices.
-    let cells: Vec<OnceLock<(FaultResult, PerfCounters)>> =
-        (0..batch.len()).map(|_| OnceLock::new()).collect();
+    // suffices. Each fault's perf goes straight into one shared total, so a
+    // cell holds only its verdict.
+    let cells: Vec<OnceLock<FaultResult>> = (0..batch.len()).map(|_| OnceLock::new()).collect();
+    let shared = Mutex::new(PerfCounters::new());
     let cursor = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         let worker = || loop {
             let k = cursor.fetch_add(1, Ordering::Relaxed);
             let Some(&index) = batch.get(k) else { break };
             fail_hit!("fp/campaign.worker.run");
-            let _ = cells[k].set(run_one(index));
+            let (result, fault_perf) = run_one(index);
+            *shared.lock().unwrap_or_else(PoisonError::into_inner) += fault_perf;
+            let _ = cells[k].set(result);
         };
         let mut handles = Vec::with_capacity(threads);
         for _ in 0..threads {
@@ -848,10 +854,13 @@ fn run_batch(
             let _ = handle.join();
         }
     });
+    *perf += shared.into_inner().unwrap_or_else(PoisonError::into_inner);
     for (cell, &index) in cells.into_iter().zip(batch) {
-        let (fault_result, fault_perf) = cell.into_inner().unwrap_or_else(|| run_one(index));
-        *perf += fault_perf;
-        slots[index] = Some(fault_result);
+        slots[index] = Some(cell.into_inner().unwrap_or_else(|| {
+            let (result, fault_perf) = run_one(index);
+            *perf += fault_perf;
+            result
+        }));
     }
 }
 
@@ -859,7 +868,8 @@ fn run_batch(
 /// outcome in `perf`, and quarantines the detection as
 /// [`FaultStatus::AuditFailed`] when the audit refutes it. Shared between
 /// the screening short-circuit and the full pipeline so both paths treat
-/// (and count) an audit identically.
+/// (and count) an audit identically. The shard merge audits by re-running
+/// its sample through a campaign, so sharded runs are judged here too.
 fn apply_audit(
     circuit: &Circuit,
     seq: &TestSequence,
@@ -984,30 +994,28 @@ mod tests {
         assert_eq!(result.faulted, 0);
     }
 
+    /// Verdicts, gate evaluations and audit counts are all independent of
+    /// the thread count: every fault's work is summed exactly once.
     #[test]
     fn single_and_multi_thread_agree() {
         let (c, seq) = toggle();
         let faults = full_fault_list(&c);
-        let serial = run_campaign(
-            &c,
-            &seq,
-            &faults,
-            &CampaignOptions {
-                threads: 1,
+        let run = |threads| {
+            let options = CampaignOptions {
+                threads,
+                audit: Some(CampaignAudit::default()),
                 ..Default::default()
-            },
-        );
-        let parallel = run_campaign(
-            &c,
-            &seq,
-            &faults,
-            &CampaignOptions {
-                threads: 4,
-                ..Default::default()
-            },
-        );
+            };
+            run_campaign(&c, &seq, &faults, &options)
+        };
+        let (serial, parallel) = (run(1), run(4));
         assert_eq!(serial.statuses, parallel.statuses);
         assert_eq!(serial.extra, parallel.extra);
+        let counts = |perf: &PerfCounters| {
+            (perf.gate_evals, perf.audits_confirmed, perf.audits_refuted, perf.audits_inconclusive)
+        };
+        assert_eq!(counts(&serial.perf), counts(&parallel.perf));
+        assert!(serial.perf.audits_confirmed > 0, "{:?}", serial.perf);
     }
 
     #[test]

@@ -60,8 +60,8 @@ pub enum Error {
         message: String,
     },
     /// A set of shard files could not be merged into one campaign result
-    /// (disagreeing headers, missing/duplicate fault records, or a merged
-    /// detection refuted by the certificate-audit replay).
+    /// (disagreeing headers, missing/duplicate fault records, or an audit
+    /// re-run that panicked and may be retried).
     Merge {
         /// What went wrong.
         message: String,

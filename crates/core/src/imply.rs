@@ -217,20 +217,6 @@ impl<'a> FrameContext<'a> {
         }
     }
 
-    /// Wraps an existing frame (used when the caller already simulated it).
-    pub fn from_values(
-        circuit: &'a Circuit,
-        base: NetValues,
-        fault: Option<&'a Fault>,
-    ) -> Self {
-        FrameContext {
-            circuit,
-            fault,
-            base,
-            learned: None,
-        }
-    }
-
     /// Arms statically learned implications: whenever an implication run
     /// newly specifies a net, the net's learned list fires (and cascades).
     /// Lists whose support involves this frame's fault-critical net are

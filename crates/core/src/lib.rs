@@ -49,7 +49,8 @@
 //!   certificate ([`simulate_fault_certified`]), validated by exhaustive
 //!   two-valued replay; campaigns in audit mode
 //!   ([`CampaignOptions::audit`]) quarantine any refuted detection as
-//!   [`FaultStatus::AuditFailed`] instead of reporting it,
+//!   [`FaultStatus::AuditFailed`] instead of reporting it (a sharded
+//!   campaign audits once, when [`merge_shards`] re-runs its sample),
 //! - [`shard`] — crash-safe sharded campaigns: a deterministic fault-list
 //!   [`partition`], [`run_sharded`] on the calling thread, one v2
 //!   checkpoint file per shard and an integrity-verified [`merge_shards`]

@@ -488,7 +488,7 @@ fn run_procedure(
 /// The options of the ladder's fallback rung: the expansion-only baseline
 /// of reference \[4] (no backward implications, no static learning) with
 /// `n_states` halved after the frontier cap, no frontier cap of its own and
-/// no further degradation. The merge's audit replay re-derives a ladder
+/// no further degradation. The shard merge's audit re-runs a ladder
 /// detection under exactly these options.
 pub(crate) fn fallback_rung_options(options: &MoaOptions) -> MoaOptions {
     let capped = options

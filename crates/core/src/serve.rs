@@ -645,8 +645,9 @@ fn run_job(shared: &Shared, hash: CanonHash) -> Result<(), Error> {
         JobOutcome::Quarantined(failures) => return Err(quarantine_error(&failures)),
     };
     // Merge with the spec's own options (no cancel probe): the merge is
-    // cheap validation + audit replay, and serving a half-merged result
-    // would be worse than finishing it.
+    // validation plus, for an audited job, the job's only audit (the shards
+    // never audit), and serving a half-merged result would be worse than
+    // finishing it.
     let merged = merge_shards(&spec.circuit, &spec.seq, &faults, &spec.options, &files)?;
     spool.store_result(hash, &spec, &merged.result)?;
     // The shard files are scratch once the result is published; removing

@@ -21,13 +21,13 @@
 //!   ([`crate::Dispatcher`]): bounded retries with exponential backoff, and
 //!   quarantine of shards that keep failing (reported in
 //!   [`ShardRun::quarantined`], never silently dropped).
-//! - [`merge_shards`] — the integrity-verified merge: every record is
-//!   checksum-validated ([`read_shard`] is strict),
-//!   shard geometry must tile the fault list exactly (no missing, duplicate
-//!   or overlapping fault indices), and — when the campaign runs in audit
-//!   mode — merged detections are re-validated by certificate replay, so a
-//!   corrupted-but-checksum-valid shard cannot smuggle in an unsound
-//!   detection.
+//! - [`merge_shards`] — the integrity-verified merge: every header must
+//!   name this campaign and the headers must tile the fault list exactly
+//!   (no missing, duplicate or overlapping fault indices) before any record
+//!   is decoded, and every record is then checksum-validated ([`read_shard`]
+//!   is strict). Shards never audit; in audit mode the merge re-runs its
+//!   sample of the merged detections through the campaign's own audit, so a
+//!   checksum-valid shard that lies about a detection is quarantined.
 //!
 //! # Crash safety
 //!
@@ -38,26 +38,24 @@
 
 use std::fs;
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use moa_netlist::{Circuit, Fault};
-use moa_sim::{simulate, SimTrace, TestSequence};
+use moa_sim::TestSequence;
 
-use crate::audit::{audit_certificate, AuditStatus};
-use crate::budget::BudgetMeter;
+use crate::budget::FaultBudget;
 use crate::campaign::{
-    aggregate, panic_message, try_run_campaign, CampaignAudit, CampaignOptions, CampaignResult,
+    aggregate, try_run_campaign, CampaignAudit, CampaignOptions, CampaignResult,
 };
 use crate::canon::CanonHash;
-use crate::certificate::DetectionCertificate;
-use crate::checkpoint::{mismatch_message, read_shard, CheckpointHeader, ShardInfo};
+use crate::checkpoint::{
+    mismatch_message, read_shard, read_shard_header, CheckpointHeader, ShardInfo,
+};
+use crate::counters::PerfCounters;
 use crate::dispatch::{DispatchOptions, Dispatcher, JobOutcome};
 use crate::error::Error;
-use crate::procedure::{
-    fallback_rung_options, simulate_fault_certified, FaultResult, FaultStatus, PartialBound,
-};
+use crate::procedure::{fallback_rung_options, FaultResult, FaultStatus};
 use crate::MoaOptions;
 
 /// Splits `total` faults into `shards` contiguous, near-equal ranges (the
@@ -163,7 +161,9 @@ pub struct ShardRun {
 /// in `dir`.
 ///
 /// `base` supplies the per-fault options; its `checkpoint`, `resume` and
-/// `shard` fields are overridden. If the existing shard file is unusable —
+/// `shard` fields are overridden, and `audit` is cleared: a shard never
+/// audits, because [`merge_shards`] audits the merged sample at the trust
+/// boundary. If the existing shard file is unusable —
 /// damaged header, or left behind by a different campaign — it is deleted
 /// and the shard re-runs from scratch once, so a corrupt file heals rather
 /// than wedging the shard forever.
@@ -194,6 +194,7 @@ pub fn run_shard(
     opts.checkpoint = Some(path.clone());
     opts.resume = path.exists();
     opts.shard = Some(info);
+    opts.audit = None;
     let first = try_run_campaign(circuit, seq, slice, &opts);
     match first {
         // A resume that dies on the checkpoint itself (damaged header, or a
@@ -266,7 +267,7 @@ pub struct MergeOutcome {
     pub result: CampaignResult,
     /// Fault records merged across all shard files.
     pub records: usize,
-    /// Detections re-validated by certificate replay (0 without
+    /// Detections re-audited by the merge (0 without
     /// [`CampaignOptions::audit`]).
     pub audited: usize,
 }
@@ -274,22 +275,28 @@ pub struct MergeOutcome {
 /// Merges a complete set of shard files back into one [`CampaignResult`],
 /// verifying integrity at every level:
 ///
-/// - each file is read **strictly** — any checksum failure, torn frame or
-///   malformed record is a located [`Error::Checkpoint`], never silently
-///   skipped;
-/// - every file must carry this campaign's identity (circuit name, total
-///   fault count, sequence length) and the same shard count;
-/// - the shard ranges must tile `[0, total)` exactly — overlapping shards
-///   (duplicate fault ids), gaps, duplicate shard ids, and missing records
-///   within a shard are all [`Error::Merge`]s naming the offending fault;
-/// - with [`CampaignOptions::audit`] set, merged detections are replayed
-///   through the certificate audit ([`audit_certificate`]) at the audit's
-///   sample rate; a refuted detection aborts the merge (a shard file that
-///   checksums clean but lies about a detection cannot get through).
+/// - every file's header must carry this campaign's identity (circuit
+///   name, total fault count, sequence length) and the same shard count,
+///   and the headers' ranges must tile `[0, total)` exactly — overlapping
+///   shards (duplicate fault ids), gaps and duplicate shard ids are
+///   [`Error::Merge`]s. All of this is checked before any record is
+///   decoded;
+/// - each file is then read **strictly** — any checksum failure, torn frame
+///   or malformed record is a located [`Error::Checkpoint`], never silently
+///   skipped — and a shard missing records is an [`Error::Merge`] naming
+///   the offending fault;
+/// - with [`CampaignOptions::audit`] set, the detections the unsharded
+///   campaign would audit (the same sample, by global fault index) are
+///   re-run through [`try_run_campaign`] in audit mode. A re-run that
+///   confirms the record keeps it; any other outcome quarantines the fault
+///   as [`FaultStatus::AuditFailed`], as an unsharded audited campaign
+///   would. The audit is the only check of what a record *says*: without
+///   it, a checksum-valid shard that lies about a verdict is merged as
+///   written.
 ///
-/// The merged result equals the unsharded campaign's (locked by tests);
-/// only the wall-clock `perf` instrumentation, which equality already
-/// ignores, is left zeroed.
+/// The merged result equals the unsharded campaign's (locked by tests). Its
+/// `perf` is the audit re-run's, so the audit counts match the unsharded
+/// run's; without an audit it is left zeroed.
 pub fn merge_shards(
     circuit: &Circuit,
     seq: &TestSequence,
@@ -302,34 +309,34 @@ pub fn merge_shards(
         return Err(merr("no shard files to merge".into()));
     }
     let total = faults.len();
-    let mut shards = Vec::with_capacity(files.len());
+    let want = CheckpointHeader {
+        circuit: circuit.name().to_owned(),
+        total_faults: total,
+        seq_len: seq.len(),
+    };
+    let mut infos = Vec::with_capacity(files.len());
     for path in files {
-        let file = read_shard(path)?;
-        let want = crate::checkpoint::CheckpointHeader {
-            circuit: circuit.name().to_owned(),
-            total_faults: total,
-            seq_len: seq.len(),
-        };
-        if file.header != want {
+        let (header, info) = read_shard_header(path)?;
+        if header != want {
             return Err(merr(format!(
                 "{}: {}",
                 path.display(),
-                mismatch_message(&file.header, &want)
+                mismatch_message(&header, &want)
             )));
         }
-        shards.push((path, file));
+        infos.push(info);
     }
-    let shard_count = shards[0].1.shard.shard_count;
-    if shards.iter().any(|(_, f)| f.shard.shard_count != shard_count) {
+    let shard_count = infos[0].shard_count;
+    if infos.iter().any(|info| info.shard_count != shard_count) {
         return Err(merr(format!(
             "shard files disagree on the shard count: {:?}",
-            shards.iter().map(|(_, f)| f.shard.shard_count).collect::<Vec<_>>()
+            infos.iter().map(|info| info.shard_count).collect::<Vec<_>>()
         )));
     }
-    if shards.len() != shard_count as usize {
+    if infos.len() != shard_count as usize {
         return Err(merr(format!(
             "incomplete partition: {} shard file(s) for a {shard_count}-shard campaign",
-            shards.len()
+            infos.len()
         )));
     }
 
@@ -337,8 +344,8 @@ pub fn merge_shards(
     // non-empty range starts where the previous one ended. A gap loses
     // faults; an overlap would record some fault twice.
     let mut ids_seen = vec![false; shard_count as usize];
-    for (path, file) in &shards {
-        let id = file.shard.shard_id as usize;
+    for (path, info) in files.iter().zip(&infos) {
+        let id = info.shard_id as usize;
         if ids_seen[id] {
             return Err(merr(format!(
                 "{}: duplicate file for shard {id}",
@@ -347,7 +354,7 @@ pub fn merge_shards(
         }
         ids_seen[id] = true;
     }
-    let mut ordered: Vec<&ShardInfo> = shards.iter().map(|(_, f)| &f.shard).collect();
+    let mut ordered: Vec<&ShardInfo> = infos.iter().collect();
     ordered.sort_by_key(|s| (s.offset, s.len));
     let mut next = 0u64;
     for info in ordered {
@@ -380,33 +387,36 @@ pub fn merge_shards(
     // duplicates; the slot check below is the belt to those braces.
     let mut slots: Vec<Option<FaultResult>> = vec![None; total];
     let mut records = 0usize;
-    for (path, file) in &shards {
-        for (global, result) in &file.records {
-            let slot = &mut slots[*global as usize];
+    for (path, info) in files.iter().zip(&infos) {
+        let file = read_shard(path)?;
+        if (&file.header, &file.shard) != (&want, info) {
+            return Err(merr(format!("{}: the header changed during the merge", path.display())));
+        }
+        let found = file.records.len() as u64;
+        for (global, result) in file.records {
+            let slot = &mut slots[global as usize];
             if slot.is_some() {
                 return Err(merr(format!(
                     "{}: fault {global} already has a record from another shard",
                     path.display()
                 )));
             }
-            *slot = Some(result.clone());
+            *slot = Some(result);
             records += 1;
         }
-        if file.records.len() as u64 != file.shard.len {
-            let missing = (0..file.shard.len)
-                .map(|l| file.shard.offset + l)
-                .find(|g| slots[*g as usize].is_none());
+        if found != info.len {
+            let missing = (info.offset..info.offset + info.len).find(|g| slots[*g as usize].is_none());
             return Err(merr(format!(
                 "{}: shard {} is missing fault records ({} of {}{})",
                 path.display(),
-                file.shard.shard_id,
-                file.shard.len - file.records.len() as u64,
-                file.shard.len,
+                info.shard_id,
+                info.len - found,
+                info.len,
                 missing.map_or(String::new(), |g| format!(", first missing fault {g}")),
             )));
         }
     }
-    let results: Vec<FaultResult> = slots
+    let mut results: Vec<FaultResult> = slots
         .into_iter()
         .enumerate()
         .map(|(index, slot)| {
@@ -414,141 +424,92 @@ pub fn merge_shards(
         })
         .collect::<Result<_, _>>()?;
 
-    let audited = match &options.audit {
-        Some(audit) => replay_audits(circuit, seq, faults, &options.moa, audit, &results)?,
-        None => 0,
+    let (audited, perf) = match &options.audit {
+        Some(audit) => audit_sample(circuit, seq, faults, options, audit, &mut results)?,
+        None => (0, PerfCounters::new()),
     };
+    let mut result = aggregate(circuit, total, results);
+    result.perf = perf;
     Ok(MergeOutcome {
-        result: aggregate(circuit, total, results),
+        result,
         records,
         audited,
     })
 }
 
-/// Replays the certificate audit over the merged detections: for each
-/// sampled detected fault, reconstruct (or re-derive) its certificate and
-/// validate it by concrete replay. Returns how many detections were
-/// audited; a refutation is an [`Error::Merge`].
-fn replay_audits(
+/// The merge's audit: re-runs the detections an unsharded campaign would
+/// audit — detected records at global indices divisible by the sample rate
+/// — through [`try_run_campaign`] with every re-run fault audited, no
+/// budget and no degradation; the ladder's detections re-run under its
+/// fallback rung ([`fallback_rung_options`]). A re-run that confirms the
+/// record (for a ladder record, any detection) keeps it; a `Faulted`
+/// re-run is a transient [`Error::Merge`]; anything else quarantines the
+/// record as [`FaultStatus::AuditFailed`]. With fixed options a budget only
+/// truncates the procedure, so a genuine detection re-derives its stored
+/// status unbudgeted, and a fabricated one cannot. Returns the number of
+/// re-run faults and the re-runs' perf.
+fn audit_sample(
     circuit: &Circuit,
     seq: &TestSequence,
     faults: &[Fault],
-    moa: &MoaOptions,
+    options: &CampaignOptions,
     audit: &CampaignAudit,
-    results: &[FaultResult],
-) -> Result<usize, Error> {
-    let good = simulate(circuit, seq, None);
+    results: &mut [FaultResult],
+) -> Result<(usize, PerfCounters), Error> {
     let rate = audit.sample_rate.max(1);
-    let mut audited = 0;
-    for (index, result) in results.iter().enumerate() {
-        if !result.status.is_detected() || !index.is_multiple_of(rate) {
+    let (ladder, full): (Vec<usize>, Vec<usize>) = (0..results.len())
+        .filter(|&i| i.is_multiple_of(rate) && results[i].status.is_detected())
+        .partition(|&i| matches!(results[i].status, FaultStatus::PartialVerdict { .. }));
+    let mut perf = PerfCounters::new();
+    let full_moa = MoaOptions {
+        degrade: false,
+        ..options.moa.clone()
+    };
+    for (indices, moa) in [(&full, full_moa), (&ladder, fallback_rung_options(&options.moa))] {
+        if indices.is_empty() {
             continue;
         }
-        // Chaos sites inside the per-fault procedure may fire during the
-        // replay; contain a panic as a (retryable) merge error instead of
-        // taking the merge down.
-        let replay = catch_unwind(AssertUnwindSafe(|| {
-            replay_one(circuit, seq, &good, &faults[index], moa, &result.status)
-        }));
-        let verdict = match replay {
-            Ok(verdict) => verdict,
-            Err(payload) => Replay::Transient(format!(
-                "audit replay of fault {index} panicked: {}",
-                panic_message(payload.as_ref())
-            )),
+        let rerun = CampaignOptions {
+            moa,
+            budget: FaultBudget::none(),
+            isolate_panics: true,
+            checkpoint: None,
+            resume: false,
+            audit: Some(CampaignAudit::default()),
+            shard: None,
+            fault_hook: None,
+            cancel: None,
+            ..options.clone()
         };
-        match verdict {
-            Replay::Clean => audited += 1,
-            Replay::Refuted(reason) => {
-                return Err(Error::Merge {
-                    message: format!("audit replay refuted detection of fault {index}: {reason}"),
-                })
-            }
-            Replay::Transient(message) => return Err(Error::Merge { message }),
-        }
-    }
-    Ok(audited)
-}
-
-enum Replay {
-    Clean,
-    Refuted(String),
-    Transient(String),
-}
-
-/// Audits one merged detection. Re-derivation runs with an *unlimited*
-/// budget and degradation off: with fixed options, a budget only truncates
-/// the procedure, so the unlimited replay deterministically supersedes
-/// whatever limited run produced the shard record — a genuine detection
-/// must re-derive, and a fabricated one cannot.
-fn replay_one(
-    circuit: &Circuit,
-    seq: &TestSequence,
-    good: &SimTrace,
-    fault: &Fault,
-    moa: &MoaOptions,
-    status: &FaultStatus,
-) -> Replay {
-    let check = |certificate: Option<&DetectionCertificate>| match certificate {
-        None => Replay::Refuted("re-simulation produced no certificate".into()),
-        Some(cert) => {
-            match audit_certificate(circuit, seq, good, fault, cert) {
-                AuditStatus::Refuted { reason } => Replay::Refuted(reason),
-                // Confirmed, or inconclusive (audit cap): same policy as the
-                // in-campaign audit — only a refutation is damning.
-                _ => Replay::Clean,
-            }
-        }
-    };
-    match status {
-        FaultStatus::DetectedConventional(det) => {
-            check(Some(&DetectionCertificate::conventional(det, good)))
-        }
-        FaultStatus::DetectedByImplications(_)
-        | FaultStatus::DetectedByForcedAssignments
-        | FaultStatus::DetectedByExpansion { .. } => {
-            let options = MoaOptions {
-                degrade: false,
-                ..moa.clone()
+        let sample: Vec<Fault> = indices.iter().map(|&i| faults[i]).collect();
+        let outcome = try_run_campaign(circuit, seq, &sample, &rerun)?;
+        perf += outcome.perf;
+        for (&index, status) in indices.iter().zip(outcome.statuses) {
+            let stored = &mut results[index].status;
+            let confirmed = match stored {
+                FaultStatus::PartialVerdict { .. } => status.is_detected(),
+                _ => status == *stored,
             };
-            let mut meter = BudgetMeter::unlimited();
-            let (result, certificate) =
-                simulate_fault_certified(circuit, seq, good, fault, &options, None, &mut meter);
-            if !result.status.is_detected() {
-                return Replay::Refuted(format!(
-                    "unlimited re-simulation did not detect the fault (got {:?})",
-                    result.status
-                ));
-            }
-            check(certificate.as_ref())
+            *stored = match status {
+                _ if confirmed => continue,
+                FaultStatus::Faulted { message } => {
+                    return Err(Error::Merge {
+                        message: format!("the audit re-run of fault {index} panicked: {message}"),
+                    })
+                }
+                FaultStatus::AuditFailed { reason } => FaultStatus::AuditFailed { reason },
+                other => FaultStatus::AuditFailed {
+                    reason: format!("the shard recorded {stored:?}, the re-run found {other:?}"),
+                },
+            };
         }
-        FaultStatus::PartialVerdict {
-            lower_bound: PartialBound::Detected { .. },
-            ..
-        } => {
-            // The detection came from the degradation ladder's fallback
-            // rung; replay under that rung's (weaker) options.
-            let options = fallback_rung_options(moa);
-            let mut meter = BudgetMeter::unlimited();
-            let (result, certificate) =
-                simulate_fault_certified(circuit, seq, good, fault, &options, None, &mut meter);
-            if !result.status.is_detected() {
-                return Replay::Refuted(format!(
-                    "unlimited expansion-only re-simulation did not detect the fault (got {:?})",
-                    result.status
-                ));
-            }
-            check(certificate.as_ref())
-        }
-        // is_detected() covers exactly the arms above.
-        _ => Replay::Clean,
     }
+    Ok((full.len() + ladder.len(), perf))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::budget::FaultBudget;
     use crate::campaign::run_campaign;
     use moa_netlist::{full_fault_list, parse_bench};
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -623,9 +584,122 @@ mod tests {
                 merge_shards(&c, &seq, &faults, &base, &run.files).expect("merge");
             assert_eq!(merged.result, unsharded, "{shards} shards");
             assert_eq!(merged.records, faults.len());
-            assert!(merged.audited > 0, "audit replay must have run");
+            assert_eq!(merged.audited, unsharded.detected_total(), "sample rate 1");
+            assert_eq!(audit_counts(&merged.result), audit_counts(&unsharded), "{shards} shards");
             let _ = fs::remove_dir_all(&dir);
         }
+    }
+
+    fn audit_counts(result: &CampaignResult) -> (u64, u64, u64) {
+        let perf = &result.perf;
+        (perf.audits_confirmed, perf.audits_refuted, perf.audits_inconclusive)
+    }
+
+    /// A checksum-valid shard file that lies — an undetected fault recorded
+    /// as detected by expansion, a conventional detection moved to another
+    /// time — gets both lies quarantined by the audited merge, and every
+    /// other verdict through unchanged. Without the audit nothing reads what
+    /// a record says, so the merge takes both lies as written.
+    #[test]
+    fn audited_merge_quarantines_what_a_lying_shard_records() {
+        let c = toggle();
+        let seq = TestSequence::from_words(&["0", "0", "0"]).expect("valid sequence");
+        let faults = full_fault_list(&c);
+        let base = CampaignOptions {
+            audit: Some(CampaignAudit::default()),
+            ..CampaignOptions::new()
+        };
+        let unsharded = run_campaign(&c, &seq, &faults, &base);
+        let dir = temp_dir("lying");
+        let run = run_sharded(&c, &seq, &faults, &base, &ShardOptions::new(2, &dir))
+            .expect("supervise");
+        let mut file = run
+            .files
+            .iter()
+            .map(|path| read_shard(path).expect("strict read"))
+            .find(|file| {
+                let has = |pred: fn(&FaultStatus) -> bool| {
+                    file.records.iter().any(|(_, r)| pred(&r.status))
+                };
+                has(|s| !s.is_detected()) && has(|s| matches!(s, FaultStatus::DetectedConventional(_)))
+            })
+            .expect("a shard holding an undetected fault and a conventional detection");
+        let undetected = file.records.iter().position(|(_, r)| !r.status.is_detected()).unwrap();
+        let claimed = FaultStatus::DetectedByExpansion { sequences: 1 };
+        file.records[undetected].1.status = claimed.clone();
+        let conventional = file
+            .records
+            .iter()
+            .position(|(_, r)| matches!(r.status, FaultStatus::DetectedConventional(_)))
+            .unwrap();
+        let FaultStatus::DetectedConventional(det) = &mut file.records[conventional].1.status else {
+            unreachable!("picked a conventional detection")
+        };
+        det.time = (det.time + 1) % seq.len();
+        let shifted = file.records[conventional].1.status.clone();
+        let lied = [file.records[undetected].0 as usize, file.records[conventional].0 as usize];
+        let mut slots: Vec<Option<FaultResult>> = vec![None; file.shard.len as usize];
+        for (global, result) in file.records {
+            slots[(global - file.shard.offset) as usize] = Some(result);
+        }
+        let local = CheckpointHeader {
+            total_faults: slots.len(),
+            ..file.header
+        };
+        let path = shard_path(&dir, file.shard.shard_id as usize);
+        crate::checkpoint::write_checkpoint_v2(&path, &local, Some(&file.shard), &slots)
+            .expect("rewrite the shard file");
+
+        let merged = merge_shards(&c, &seq, &faults, &base, &run.files).expect("audited merge");
+        assert_eq!(merged.result.audit_failed, 2);
+        for (index, (got, want)) in merged.result.statuses.iter().zip(&unsharded.statuses).enumerate() {
+            if lied.contains(&index) {
+                assert!(matches!(got, FaultStatus::AuditFailed { .. }), "fault {index}: {got:?}");
+            } else {
+                assert_eq!(got, want, "fault {index}");
+            }
+        }
+        let trusting = merge_shards(&c, &seq, &faults, &CampaignOptions::new(), &run.files)
+            .expect("unaudited merge");
+        assert_eq!(trusting.result.statuses[lied[0]], claimed);
+        assert_eq!(trusting.result.statuses[lied[1]], shifted);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Every header is compared before any record is decoded: a file that
+    /// holds another campaign's valid header followed by bytes that are no
+    /// record is refused for naming the wrong campaign.
+    #[test]
+    fn merge_refuses_a_foreign_header_before_reading_its_body() {
+        let c = toggle();
+        let seq = TestSequence::from_words(&["0", "0", "0"]).expect("valid sequence");
+        let faults = full_fault_list(&c);
+        let base = CampaignOptions::new();
+        let dir = temp_dir("foreign");
+        for shard_id in 0..2 {
+            run_shard(&c, &seq, &faults, &base, 2, shard_id, &dir).expect("shard");
+        }
+        let info = shard_info(faults.len(), 2, 1);
+        let foreign = CheckpointHeader {
+            circuit: "other".into(),
+            total_faults: info.len as usize,
+            seq_len: seq.len(),
+        };
+        let victim = shard_path(&dir, 1);
+        crate::checkpoint::write_checkpoint_v2(&victim, &foreign, Some(&info), &[])
+            .expect("write the foreign header");
+        let mut bytes = fs::read(&victim).expect("read shard file");
+        // Replace the 13-byte end-of-shard trailer with bytes no record
+        // starts with.
+        bytes.truncate(bytes.len() - 13);
+        bytes.extend_from_slice(&[0xff; 16]);
+        fs::write(&victim, &bytes).expect("write the foreign file");
+        let files: Vec<PathBuf> = (0..2).map(|k| shard_path(&dir, k)).collect();
+        let err = merge_shards(&c, &seq, &faults, &base, &files).expect_err("foreign shard");
+        let message = err.to_string();
+        assert!(message.contains("belongs to a different campaign"), "{message}");
+        assert!(message.contains("shard-1.ckpt"), "{message}");
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -825,7 +899,7 @@ mod tests {
         // `moa campaign suite:s298 --random 64 --seed 7 --proposed --degrade
         // --work-limit 300 --audit`: eight of its faults are detected only by
         // the ladder's fallback rung, the one input that reaches the merge's
-        // rung replay.
+        // re-run under that rung.
         let entry = moa_circuits::suite::entry("s298").expect("suite circuit");
         let c = moa_netlist::parse_bench(&moa_netlist::write_bench(&entry.build()))
             .expect("round trip");
@@ -855,8 +929,10 @@ mod tests {
                 let merged = merge_shards(&c, &seq, &faults, &options, &run.files).expect("merge");
                 assert_eq!(merged.result, unsharded, "{shards} shard(s), {threads} thread(s)");
                 // Sample rate 1: every detection, the ladder's included, is
-                // replayed by the merge.
+                // re-audited by the merge, and counted as the unsharded
+                // campaign counts it.
                 assert_eq!(merged.audited, unsharded.detected_total());
+                assert_eq!(audit_counts(&merged.result), audit_counts(&unsharded));
                 let _ = fs::remove_dir_all(&dir);
             }
         }

@@ -333,18 +333,6 @@ impl<W: Word> FaultBatch<W> {
         }
     }
 
-    /// Evaluates one time frame, allocating a fresh frame of values.
-    pub fn run_frame(
-        &self,
-        circuit: &Circuit,
-        pattern: &[V3],
-        present_state: &[PackedV3<W>],
-    ) -> PackedV3Values<W> {
-        let mut values = PackedV3Values::new(circuit);
-        self.run_frame_into(circuit, pattern, present_state, &mut values);
-        values
-    }
-
     /// Reads the packed next state, applying flip-flop-input masks.
     pub fn next_state_into(
         &self,
